@@ -12,14 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tier-1 tests =="
 cargo test --workspace --release
 
-echo "== scalar-fallback arm (force-scalar feature) =="
-# The SIMD kernels ship two arms (lane-chunked + scalar) behind the
-# `force-scalar` feature, contractually bit-identical (see DESIGN.md
-# "Data layout & SIMD"). Build the feature matrix and run the full suite
-# once on the scalar arm so a regression in either arm — or a divergence
-# between them — fails CI, not a user on an exotic target.
-cargo build --workspace --features emd-simd/force-scalar
-cargo test --workspace --release --features emd-simd/force-scalar -q
+echo "== perfbench harness tests =="
+# perfbench is a workspace of its own, so `cargo test --workspace` never
+# compiles it. Building and testing it here keeps an API change in the
+# crates it drives from breaking the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== instrumented smoke pipeline =="
 # The quickstart runs the full pipeline with metric recording on and

@@ -12,8 +12,9 @@
 //! their last scan (via the [`TweetBase`] token inverted index — a new
 //! candidate can only change sentences containing its first token), and
 //! [`Globalizer::finalize`] rescans only those. The brute-force
-//! [`Globalizer::finalize_full_rescan`] rescans everything and exists as
-//! the reference the incremental path is tested bit-identical against.
+//! [`Globalizer::finalize_full_rescan`] runs the same closing pass with
+//! one difference — each round rescans every live record — and is the
+//! reference that record selection is tested bit-identical against.
 //!
 //! ## Failure model
 //!
@@ -126,6 +127,33 @@ fn tsid(sid: SentenceId) -> (u64, u32) {
 /// `[start, end)` causal ID of a span.
 fn tspan(sp: &Span) -> (u32, u32) {
     (sp.start as u32, sp.end as u32)
+}
+
+/// A record's adjacent candidate pairs (lower-cased surfaces, in order):
+/// its promotion evidence. Extraction emits non-overlapping spans in
+/// ascending order, so consecutive mentions are the only adjacency
+/// candidates.
+fn adjacent_pairs(rec: &TweetRecord) -> impl Iterator<Item = (String, String)> + '_ {
+    rec.global_mentions
+        .windows(2)
+        .filter(|w| w[0].end == w[1].start)
+        .map(|w| {
+            (
+                w[0].surface_lower(&rec.sentence),
+                w[1].surface_lower(&rec.sentence),
+            )
+        })
+}
+
+/// Which stored records the closing rescan revisits in each promotion
+/// round.
+#[derive(Clone, Copy)]
+enum Rescan {
+    /// The dirty set: only records a candidate registered since their
+    /// last scan could have changed.
+    Dirty,
+    /// Every live, non-quarantined record — the brute-force oracle.
+    All,
 }
 
 /// Adjacent-pair promotion evidence preserved from an evicted record: the
@@ -572,36 +600,41 @@ impl<'a> Globalizer<'a> {
     /// false when the pass saw at least one persistent failure. Emits any
     /// resulting transition.
     fn guard_record(&self, phase: TracePhase, ok: bool, reason: &str) {
-        let Some(g) = &self.guard else { return };
-        let t = {
-            let mut cell = Self::guard_lock(g);
-            let t = if ok {
-                cell.breaker_mut(phase).record_success()
+        self.guard_step(&[phase], |b| {
+            if ok {
+                b.record_success()
             } else {
-                cell.breaker_mut(phase).record_failure(reason)
-            };
-            if let Some(t) = &t {
-                cell.transitions.push((phase, t.clone()));
-                self.metrics
-                    .guard_breaker_open
-                    .set(cell.open_count() as f64);
+                b.record_failure(reason)
             }
-            t
-        };
-        if let Some(t) = t {
-            self.note_breaker_transition(phase, &t);
-        }
+        });
     }
 
     /// Advance every breaker's batch clock by one tick, emitting
     /// Open → HalfOpen transitions whose cooldowns are served.
     fn guard_tick(&self) {
+        self.guard_step(&GUARDED_PHASES, CircuitBreaker::tick);
+    }
+
+    /// Trip every breaker Open regardless of failure counts — the
+    /// sentinel-Critical escalation hook.
+    fn guard_force_open_all(&self, reason: &str) {
+        self.guard_step(&GUARDED_PHASES, |b| b.force_open(reason));
+    }
+
+    /// Apply `step` to the breakers guarding `phases` under one lock, log
+    /// every transition it takes, refresh the open-breaker gauge, and
+    /// emit the transitions once the lock is released.
+    fn guard_step(
+        &self,
+        phases: &[TracePhase],
+        step: impl Fn(&mut CircuitBreaker) -> Option<BreakerTransition>,
+    ) {
         let Some(g) = &self.guard else { return };
         let fired: Vec<(TracePhase, BreakerTransition)> = {
             let mut cell = Self::guard_lock(g);
-            let fired: Vec<_> = GUARDED_PHASES
+            let fired: Vec<_> = phases
                 .iter()
-                .filter_map(|&p| cell.breaker_mut(p).tick().map(|t| (p, t)))
+                .filter_map(|&p| step(cell.breaker_mut(p)).map(|t| (p, t)))
                 .collect();
             if !fired.is_empty() {
                 cell.transitions.extend(fired.iter().cloned());
@@ -609,27 +642,6 @@ impl<'a> Globalizer<'a> {
                     .guard_breaker_open
                     .set(cell.open_count() as f64);
             }
-            fired
-        };
-        for (p, t) in &fired {
-            self.note_breaker_transition(*p, t);
-        }
-    }
-
-    /// Trip every breaker Open regardless of failure counts — the
-    /// sentinel-Critical escalation hook.
-    fn guard_force_open_all(&self, reason: &str) {
-        let Some(g) = &self.guard else { return };
-        let fired: Vec<(TracePhase, BreakerTransition)> = {
-            let mut cell = Self::guard_lock(g);
-            let fired: Vec<_> = GUARDED_PHASES
-                .iter()
-                .filter_map(|&p| cell.breaker_mut(p).force_open(reason).map(|t| (p, t)))
-                .collect();
-            cell.transitions.extend(fired.iter().cloned());
-            self.metrics
-                .guard_breaker_open
-                .set(cell.open_count() as f64);
             fired
         };
         for (p, t) in &fired {
@@ -824,7 +836,7 @@ impl<'a> Globalizer<'a> {
     /// Push one trace event, keeping the `emd_trace_*` meta-counters in
     /// step. Callers gate on `emd_trace::enabled()` *before* constructing
     /// the event, so the disabled path allocates nothing.
-    fn temit(&self, ev: TraceEvent) -> Option<u64> {
+    pub(crate) fn temit(&self, ev: TraceEvent) -> Option<u64> {
         match self.trace.push(ev) {
             Some(seq) => {
                 self.metrics.trace_events_total.inc();
@@ -911,13 +923,12 @@ impl<'a> Globalizer<'a> {
         }
     }
 
-    /// Total attempts per isolated unit of work.
-    fn attempts(&self) -> usize {
-        self.config.poison_retries + 1
-    }
-
-    /// Record `failed` panicking attempts against the retry counter.
-    fn note_retries(&self, failed: usize) {
+    /// Run one unit of work panic-isolated with the retry budget
+    /// ([`GlobalizerConfig::poison_retries`] retries), counting (and
+    /// tracing) its panicking attempts.
+    fn retried<T>(&self, f: impl FnMut() -> T) -> Result<T, String> {
+        let r = isolate::retry_catch(self.config.poison_retries + 1, f);
+        let failed = r.failed_attempts;
         if failed > 0 {
             self.metrics.item_retries_total.add(failed as u64);
             if emd_trace::enabled() {
@@ -927,6 +938,7 @@ impl<'a> Globalizer<'a> {
                 });
             }
         }
+        r.result
     }
 
     /// Divert a sentence to the dead-letter log. When tracing is on, the
@@ -977,24 +989,30 @@ impl<'a> Globalizer<'a> {
 
     /// One sentence's local inference, panic-isolated with the retry
     /// budget. Pure (no pipeline state touched), so a caught panic leaves
-    /// nothing behind; used identically by the sequential and parallel
-    /// local phases, keeping their failure behaviour bit-identical.
+    /// nothing behind, and a shard re-run on the caller thread behaves
+    /// exactly like the first attempt.
     fn local_attempt(&self, sentence: &Sentence) -> Result<crate::local::LocalEmdOutput, String> {
-        let r = isolate::retry_catch(self.attempts(), || {
+        self.retried(|| {
             failpoint::fire("local_inference");
             self.local.process(sentence)
-        });
-        self.note_retries(r.failed_attempts);
-        r.result
+        })
     }
 
-    /// **Local EMD phase** for one batch: run the plug-in per sentence,
-    /// register seed candidates in the CTrie, store TweetBase records.
-    fn local_phase(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
+    /// **Local EMD phase** for one batch: run the plug-in per sentence on
+    /// up to `n_threads` shards (inference is `&self`), then register seed
+    /// candidates and store TweetBase records sequentially in stream
+    /// order, so results do not depend on the thread count.
+    fn local_phase(&self, state: &mut GlobalizerState, batch: &[Sentence], n_threads: usize) {
         let t0 = Instant::now();
-        let outputs: Vec<Result<crate::local::LocalEmdOutput, String>> = {
+        let outputs = {
             let _span = self.phase_timer(&self.metrics.local_infer_ns);
-            batch.iter().map(|s| self.local_attempt(s)).collect()
+            self.fan_out(
+                batch,
+                n_threads,
+                TracePhase::LocalInfer,
+                "local_shard",
+                |part| part.iter().map(|s| self.local_attempt(s)).collect(),
+            )
         };
         let dt = elapsed_ns(t0);
         state.timings.local_infer_ns += dt;
@@ -1003,59 +1021,53 @@ impl<'a> Globalizer<'a> {
         self.ingest_local_outputs(state, batch, outputs);
     }
 
-    /// Local EMD phase with sentence-level parallelism: the batch is split
-    /// across `n_threads` scoped threads (inference is `&self`), then the
-    /// outputs are ingested sequentially in stream order, so results are
-    /// bit-identical to the sequential path.
+    /// Run `work` over `items` split into at most `n_threads` contiguous
+    /// shards and return its results in input order.
     ///
-    /// Shards are joined unconditionally before any failure is acted on —
-    /// a panicked shard must not leak the surviving worker threads — and a
-    /// failed shard's sentences are re-run on the caller thread (the
-    /// surviving "pool"), so one poisoned shard degrades to sequential
-    /// work instead of aborting the batch.
-    fn local_phase_parallel(
+    /// A single shard runs inline on the caller thread. Otherwise each
+    /// shard runs on a scoped thread behind the `shard_fp` fail point, and
+    /// every shard is joined before any failure is acted on — a panicked
+    /// shard must not leak the surviving worker threads. A panicked
+    /// shard's items are then re-run on the caller thread, in order, so
+    /// one poisoned shard degrades to sequential work instead of aborting
+    /// the batch.
+    fn fan_out<T: Sync, R: Send>(
         &self,
-        state: &mut GlobalizerState,
-        batch: &[Sentence],
+        items: &[T],
         n_threads: usize,
-    ) {
-        let n_threads = n_threads.max(1).min(batch.len().max(1));
-        let chunk = batch.len().div_ceil(n_threads).max(1);
-        let t0 = Instant::now();
-        let mut outputs: Vec<Result<crate::local::LocalEmdOutput, String>> =
-            Vec::with_capacity(batch.len());
-        {
-            let _span = self.phase_timer(&self.metrics.local_infer_ns);
-            let chunks: Vec<&[Sentence]> = batch.chunks(chunk).collect();
-            let shard_results: Vec<Option<Vec<_>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|part| {
-                        scope.spawn(move || {
-                            failpoint::fire("local_shard");
-                            part.iter()
-                                .map(|s| self.local_attempt(s))
-                                .collect::<Vec<_>>()
-                        })
+        phase: TracePhase,
+        shard_fp: &str,
+        work: impl Fn(&[T]) -> Vec<R> + Sync,
+    ) -> Vec<R> {
+        let n_threads = n_threads.max(1).min(items.len());
+        if n_threads <= 1 {
+            return work(items);
+        }
+        let chunks: Vec<&[T]> = items.chunks(items.len().div_ceil(n_threads)).collect();
+        let work = &work;
+        let shard_results: Vec<Option<Vec<R>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|&part| {
+                    scope.spawn(move || {
+                        failpoint::fire(shard_fp);
+                        work(part)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            });
-            for (part, slot) in chunks.iter().zip(shard_results) {
-                match slot {
-                    Some(v) => outputs.extend(v),
-                    None => {
-                        self.note_shard_retry(TracePhase::LocalInfer);
-                        outputs.extend(part.iter().map(|s| self.local_attempt(s)));
-                    }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        });
+        let mut results = Vec::with_capacity(items.len());
+        for (&part, slot) in chunks.iter().zip(shard_results) {
+            match slot {
+                Some(v) => results.extend(v),
+                None => {
+                    self.note_shard_retry(phase);
+                    results.extend(work(part));
                 }
             }
         }
-        let dt = elapsed_ns(t0);
-        state.timings.local_infer_ns += dt;
-        self.trace_phase_span(TracePhase::LocalInfer, None, dt);
-        self.metrics.sentences_total.add(batch.len() as u64);
-        self.ingest_local_outputs(state, batch, outputs);
+        results
     }
 
     /// Validation + span sanitation for one sentence's local output,
@@ -1068,11 +1080,7 @@ impl<'a> Globalizer<'a> {
     ) -> Result<crate::local::LocalEmdOutput, String> {
         // The fallible, retried closure only *borrows* the output; the
         // output itself is moved exactly once, after validation succeeds.
-        // (The previous shape parked it in an `Option` the closure took
-        // out of, with `expect`s guarding the impossible half-consumed
-        // states — a panic there would have defeated the isolation
-        // machinery this path exists to provide.)
-        let r = isolate::retry_catch(self.attempts(), || {
+        let staged = self.retried(|| {
             failpoint::fire("ingest");
             validate::validate_sentence(sentence)?;
             if let Some(te) = &out.token_embeddings {
@@ -1089,8 +1097,7 @@ impl<'a> Globalizer<'a> {
             }
             Ok(validate::sanitize_spans(out.spans.clone(), sentence.len()))
         });
-        self.note_retries(r.failed_attempts);
-        let spans = r.result.and_then(|inner| inner)?;
+        let spans = staged.and_then(|inner| inner)?;
         let mut out = out;
         out.spans = spans;
         Ok(out)
@@ -1269,21 +1276,19 @@ impl<'a> Globalizer<'a> {
                 // Pool breaker Open: skip the embedder outright; zero
                 // vector + degraded is exactly the persistent-failure end
                 // state, minus the retry burn.
-                let emb = if !embed_allowed {
-                    degraded_keys.push(key.clone());
-                    vec![0.0; self.candidate_dim()]
-                } else {
-                    match isolate::catch(|| {
-                        failpoint::fire("phrase_embed");
-                        self.local_embedding(tweetbase, idx, sp)
-                    }) {
-                        Ok(emb) if validate::all_finite(&emb) => emb,
-                        _ => {
-                            degraded_keys.push(key.clone());
-                            vec![0.0; self.candidate_dim()]
-                        }
-                    }
-                };
+                let emb = embed_allowed
+                    .then(|| {
+                        isolate::catch(|| {
+                            failpoint::fire("phrase_embed");
+                            self.local_embedding(tweetbase, idx, sp)
+                        })
+                    })
+                    .and_then(Result::ok)
+                    .filter(|emb| validate::all_finite(emb))
+                    .unwrap_or_else(|| {
+                        degraded_keys.push(key.clone());
+                        vec![0.0; self.candidate_dim()]
+                    });
                 let locally_detected = record.local_spans.iter().any(|l| l == sp);
                 (
                     key,
@@ -1303,39 +1308,21 @@ impl<'a> Globalizer<'a> {
         }
     }
 
-    /// One record's staging, panic-isolated with the retry budget.
-    fn scan_attempt(
-        &self,
-        tweetbase: &TweetBase,
-        ctrie: &CTrie,
-        idx: usize,
-        phase_fp: &str,
-        embed_allowed: bool,
-    ) -> Result<StagedScan, String> {
-        let r = isolate::retry_catch(self.attempts(), || {
-            self.stage_scan(tweetbase, ctrie, idx, phase_fp, embed_allowed)
-        });
-        self.note_retries(r.failed_attempts);
-        r.result
-    }
-
     /// **Mention extraction + embedding pooling** over the given record
     /// indices. New mentions (not yet in the CandidateBase) contribute
     /// their local embeddings to the candidate pool; scanned records are
     /// cleared from the dirty set.
     ///
-    /// Extraction and embedding are read-only, so with `n_threads > 1` the
-    /// indices are sharded across scoped threads; the *apply* step replays
-    /// the staged results sequentially in the order given (callers pass
-    /// ascending stream order), which keeps pool-append order — and with it
-    /// every f32 sum and the candidate discovery order — bit-identical to
-    /// the sequential path.
+    /// Extraction and embedding are read-only, so the indices are staged
+    /// on up to `n_threads` shards ([`Globalizer::fan_out`]); the *apply*
+    /// step replays the staged results sequentially in the order given
+    /// (callers pass ascending stream order), which keeps pool-append
+    /// order — and with it every f32 sum and the candidate discovery
+    /// order — bit-identical for every thread count.
     ///
-    /// Failure handling: shards are joined unconditionally (no leaked
-    /// threads); a panicked shard's records are re-staged on the caller
-    /// thread; a record whose staging exhausts the retry budget is
-    /// quarantined — its stale `global_mentions` are dropped so it can no
-    /// longer feed promotions or emission.
+    /// A record whose staging exhausts the retry budget is quarantined —
+    /// its stale `global_mentions` are dropped so it can no longer feed
+    /// promotions or emission.
     fn scan_records(
         &self,
         state: &mut GlobalizerState,
@@ -1375,64 +1362,13 @@ impl<'a> Globalizer<'a> {
             let _span = self.phase_timer(&self.metrics.scan_ns);
             let tweetbase = &state.tweetbase;
             let ctrie = &state.ctrie;
-            let n_threads = n_threads.max(1).min(indices.len());
-            if n_threads == 1 {
+            self.fan_out(indices, n_threads, tphase, "scan_shard", |part| {
                 let _shard = Timer::start(&self.metrics.scan_shard_ns);
-                indices
-                    .iter()
-                    .map(|&i| {
-                        (
-                            i,
-                            self.scan_attempt(tweetbase, ctrie, i, phase_fp, embed_allowed),
-                        )
-                    })
+                let stage = |i| self.stage_scan(tweetbase, ctrie, i, phase_fp, embed_allowed);
+                part.iter()
+                    .map(|&i| (i, self.retried(|| stage(i))))
                     .collect()
-            } else {
-                let chunk = indices.len().div_ceil(n_threads);
-                let chunks: Vec<&[usize]> = indices.chunks(chunk).collect();
-                let shard_results: Vec<Option<Vec<_>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|part| {
-                            scope.spawn(move || {
-                                let _shard = Timer::start(&self.metrics.scan_shard_ns);
-                                failpoint::fire("scan_shard");
-                                part.iter()
-                                    .map(|&i| {
-                                        (
-                                            i,
-                                            self.scan_attempt(
-                                                tweetbase,
-                                                ctrie,
-                                                i,
-                                                phase_fp,
-                                                embed_allowed,
-                                            ),
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().ok()).collect()
-                });
-                let mut results = Vec::with_capacity(indices.len());
-                for (part, slot) in chunks.iter().zip(shard_results) {
-                    match slot {
-                        Some(v) => results.extend(v),
-                        None => {
-                            self.note_shard_retry(tphase);
-                            results.extend(part.iter().map(|&i| {
-                                (
-                                    i,
-                                    self.scan_attempt(tweetbase, ctrie, i, phase_fp, embed_allowed),
-                                )
-                            }));
-                        }
-                    }
-                }
-                results
-            }
+            })
         };
         let dt_scan = elapsed_ns(t_scan);
         state.timings.scan_ns += dt_scan;
@@ -1538,11 +1474,12 @@ impl<'a> Globalizer<'a> {
     /// candidate's mentions, the global evidence is too weak to overrule it
     /// (the paper: "it is rare that an entity found by Local EMD is missed
     /// at the global step").
-    /// Scoring is per-candidate and read-only, so with `n_threads > 1` the
-    /// unfrozen candidates are sharded across scoped threads; labels and
-    /// scores are then applied sequentially in discovery order (label
-    /// decisions never depend on other candidates, but the sequential apply
-    /// keeps the state evolution identical to the single-threaded path).
+    /// Scoring is per-candidate and read-only, so the unfrozen candidates
+    /// are scored on up to `n_threads` shards ([`Globalizer::fan_out`]);
+    /// labels and scores are then applied sequentially in discovery order
+    /// (label decisions never depend on other candidates, but the
+    /// sequential apply keeps the state evolution independent of the
+    /// thread count).
     fn classify_candidates(
         &self,
         state: &mut GlobalizerState,
@@ -1554,53 +1491,25 @@ impl<'a> Globalizer<'a> {
         // Breaker Open: skip scoring outright and give every unfrozen
         // candidate the end state a persistent classifier failure would
         // have produced — degraded, emission falling back to the local
-        // system's detections — with zero retry burn.
-        if !self.guard_allows(TracePhase::Classify) {
-            let tracing = emd_trace::enabled();
-            let mut n_skipped = 0u64;
-            for rec in state.candidates.iter_mut() {
-                if matches!(
-                    rec.label,
-                    CandidateLabel::Entity | CandidateLabel::NonEntity
-                ) {
-                    continue;
-                }
-                rec.degraded = true;
-                n_skipped += 1;
-                if tracing {
-                    self.temit(TraceEvent {
-                        candidate: Some(rec.key.clone()),
-                        phase: Some(TracePhase::Classify),
-                        reason: Some("classify breaker open".to_string()),
-                        ..TraceEvent::of(TraceEventKind::CandidateDegraded)
-                    });
-                }
-            }
-            self.mon_count(|c| c.degraded += n_skipped);
-            let dt = elapsed_ns(t0);
-            state.timings.classify_ns += dt;
-            self.trace_phase_span(
-                TracePhase::Classify,
-                resolve_ambiguous.then_some(TracePhase::Finalize),
-                dt,
-            );
-            return;
-        }
+        // system's detections — with zero retry burn. (An Open breaker
+        // ignores the outcome recorded against it below.)
+        let allowed = self.guard_allows(TracePhase::Classify);
         // Scoring is pure, so it runs panic-isolated with the retry
         // budget; a candidate whose scoring fails persistently keeps its
         // previous label and is marked degraded (emission then falls back
         // to the local system's own detections for it).
         let score_one = |rec: &CandidateRecord| -> Result<f32, String> {
-            let r = isolate::retry_catch(self.attempts(), || {
+            if !allowed {
+                return Err("classify breaker open".to_string());
+            }
+            self.retried(|| {
                 failpoint::fire("classify");
                 let feats = EntityClassifier::features(
                     &rec.pooled_embedding(self.config.pooling),
                     rec.token_len(),
                 );
                 self.classifier.predict(&feats)
-            });
-            self.note_retries(r.failed_attempts);
-            r.result
+            })
         };
         // Phase 1 (parallelizable): score every unfrozen candidate.
         let scores: Vec<Option<Result<f32, String>>> = {
@@ -1612,37 +1521,13 @@ impl<'a> Globalizer<'a> {
                     _ => Some(rec),
                 })
                 .collect();
-            let n_threads = n_threads.max(1).min(pending.len().max(1));
-            if n_threads == 1 {
-                pending.iter().map(|o| o.map(&score_one)).collect()
-            } else {
-                let chunk = pending.len().div_ceil(n_threads);
-                let chunks: Vec<&[Option<&CandidateRecord>]> = pending.chunks(chunk).collect();
-                let score_ref = &score_one;
-                let shard_results: Vec<Option<Vec<_>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .iter()
-                        .map(|part| {
-                            scope.spawn(move || {
-                                failpoint::fire("classify_shard");
-                                part.iter().map(|o| o.map(score_ref)).collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().ok()).collect()
-                });
-                let mut scores = Vec::with_capacity(pending.len());
-                for (part, slot) in chunks.iter().zip(shard_results) {
-                    match slot {
-                        Some(v) => scores.extend(v),
-                        None => {
-                            self.note_shard_retry(TracePhase::Classify);
-                            scores.extend(part.iter().map(|o| o.map(score_ref)));
-                        }
-                    }
-                }
-                scores
-            }
+            self.fan_out(
+                &pending,
+                n_threads,
+                TracePhase::Classify,
+                "classify_shard",
+                |part| part.iter().map(|o| o.map(&score_one)).collect(),
+            )
         };
         // Phase 2 (sequential): apply labels in discovery order.
         let tracing = emd_trace::enabled();
@@ -1729,11 +1614,23 @@ impl<'a> Globalizer<'a> {
     /// mention extraction over the batch, pooling, and an interim
     /// classification pass (γ candidates stay pending).
     pub fn process_batch(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
+        self.process_batch_parallel(state, batch, 1)
+    }
+
+    /// [`Globalizer::process_batch`] with Local EMD inference sharded
+    /// across `n_threads` scoped threads. Outputs do not depend on the
+    /// thread count (ingestion stays in stream order).
+    pub fn process_batch_parallel(
+        &self,
+        state: &mut GlobalizerState,
+        batch: &[Sentence],
+        n_threads: usize,
+    ) {
         // Clock read only on the sentinel's behalf; unmonitored runs pay
         // nothing here.
         let t0 = self.monitor.is_some().then(Instant::now);
         self.start_batch(state, batch);
-        self.local_phase(state, batch);
+        self.local_phase(state, batch, n_threads);
         self.global_stage(state, batch);
         self.enforce_window(state);
         self.observe_batch(state, t0, false);
@@ -1765,23 +1662,6 @@ impl<'a> Globalizer<'a> {
                 ..TraceEvent::of(TraceEventKind::BatchStart)
             });
         }
-    }
-
-    /// Like [`Globalizer::process_batch`] but runs Local EMD inference on
-    /// `n_threads` scoped threads. Outputs are identical to the sequential
-    /// path (ingestion stays in stream order).
-    pub fn process_batch_parallel(
-        &self,
-        state: &mut GlobalizerState,
-        batch: &[Sentence],
-        n_threads: usize,
-    ) {
-        let t0 = self.monitor.is_some().then(Instant::now);
-        self.start_batch(state, batch);
-        self.local_phase_parallel(state, batch, n_threads);
-        self.global_stage(state, batch);
-        self.enforce_window(state);
-        self.observe_batch(state, t0, false);
     }
 
     fn global_stage(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
@@ -1915,24 +1795,18 @@ impl<'a> Globalizer<'a> {
                 .map(|(i, e)| ((e.first.clone(), e.second.clone()), i))
                 .collect();
         }
-        for w in rec.global_mentions.windows(2) {
-            if w[0].end == w[1].start {
-                let key = (
-                    w[0].surface_lower(&rec.sentence),
-                    w[1].surface_lower(&rec.sentence),
-                );
-                if let Some(&i) = state.frozen_index.get(&key) {
-                    state.frozen_adjacency[i].count += 1;
-                } else {
-                    state
-                        .frozen_index
-                        .insert(key.clone(), state.frozen_adjacency.len());
-                    state.frozen_adjacency.push(FrozenAdjacency {
-                        first: key.0,
-                        second: key.1,
-                        count: 1,
-                    });
-                }
+        for key in adjacent_pairs(rec) {
+            if let Some(&i) = state.frozen_index.get(&key) {
+                state.frozen_adjacency[i].count += 1;
+            } else {
+                state
+                    .frozen_index
+                    .insert(key.clone(), state.frozen_adjacency.len());
+                state.frozen_adjacency.push(FrozenAdjacency {
+                    first: key.0,
+                    second: key.1,
+                    count: 1,
+                });
             }
         }
     }
@@ -1993,34 +1867,22 @@ impl<'a> Globalizer<'a> {
         }
         let mut order: Vec<(String, String)> = Vec::new();
         let mut adjacency: HashMap<(String, String), usize> = HashMap::new();
+        let mut count = |pair: (String, String), k: usize| {
+            let n = adjacency.entry(pair.clone()).or_insert(0);
+            if *n == 0 {
+                order.push(pair);
+            }
+            *n += k;
+        };
         // Evidence frozen from evicted records is counted first: evictions
         // run oldest-first, so the ledger precedes every live record in
         // stream order and first-adjacency ordering is preserved. Empty
         // unless windowing is enabled.
         for e in &state.frozen_adjacency {
-            let pair = (e.first.clone(), e.second.clone());
-            let n = adjacency.entry(pair.clone()).or_insert(0);
-            if *n == 0 {
-                order.push(pair);
-            }
-            *n += e.count as usize;
+            count((e.first.clone(), e.second.clone()), e.count as usize);
         }
-        for rec in state.tweetbase.iter() {
-            // Extraction emits non-overlapping spans in ascending order, so
-            // consecutive entries are the only adjacency candidates.
-            for w in rec.global_mentions.windows(2) {
-                if w[0].end == w[1].start {
-                    let pair = (
-                        w[0].surface_lower(&rec.sentence),
-                        w[1].surface_lower(&rec.sentence),
-                    );
-                    let n = adjacency.entry(pair.clone()).or_insert(0);
-                    if *n == 0 {
-                        order.push(pair);
-                    }
-                    *n += 1;
-                }
-            }
+        for pair in state.tweetbase.iter().flat_map(adjacent_pairs) {
+            count(pair, 1);
         }
         let mut promotions = Vec::new();
         for pair in order {
@@ -2049,9 +1911,15 @@ impl<'a> Globalizer<'a> {
         promotions
     }
 
-    /// Closing rescan + promotion fixpoint. Returns `(n_rescanned,
-    /// n_promoted)`.
-    fn close_stream(&self, state: &mut GlobalizerState, n_threads: usize) -> (usize, usize) {
+    /// Closing rescan + promotion fixpoint: each round rescans the records
+    /// `rescan` selects, then registers the adjacent-pair promotions found.
+    /// Returns `(n_rescanned, n_promoted)`.
+    fn close_stream(
+        &self,
+        state: &mut GlobalizerState,
+        n_threads: usize,
+        rescan: Rescan,
+    ) -> (usize, usize) {
         if self.config.ablation == Ablation::LocalOnly {
             return (0, 0);
         }
@@ -2060,9 +1928,20 @@ impl<'a> Globalizer<'a> {
         self.metrics.dirty_depth.set(state.dirty.len() as f64);
         loop {
             self.metrics.finalize_promotion_rounds_total.inc();
-            let dirty: Vec<usize> = state.dirty.take_sorted();
-            n_rescanned += dirty.len();
-            self.scan_records(state, &dirty, n_threads, PipelinePhase::FinalizeRescan);
+            let round: Vec<usize> = match rescan {
+                Rescan::Dirty => state.dirty.take_sorted(),
+                Rescan::All => {
+                    state.dirty.clear();
+                    state
+                        .tweetbase
+                        .iter_indexed()
+                        .map(|(i, _)| i)
+                        .filter(|i| !state.quarantined_idx.contains(i))
+                        .collect()
+                }
+            };
+            n_rescanned += round.len();
+            self.scan_records(state, &round, n_threads, PipelinePhase::FinalizeRescan);
             let t_promo = Instant::now();
             let promotions = self.find_promotions(state);
             let dt_promo = elapsed_ns(t_promo);
@@ -2186,86 +2065,36 @@ impl<'a> Globalizer<'a> {
         state: &mut GlobalizerState,
         n_threads: usize,
     ) -> GlobalizerOutput {
+        self.finalize_rescanning(state, n_threads, Rescan::Dirty)
+    }
+
+    /// Brute-force reference for [`Globalizer::finalize`]: the same closing
+    /// pass, but every promotion round rescans *every* live stored sentence
+    /// instead of only the possibly-affected ones. Kept as the oracle the
+    /// incremental selection is tested bit-identical against, and as the
+    /// baseline for the `rescan` benchmark.
+    pub fn finalize_full_rescan(&self, state: &mut GlobalizerState) -> GlobalizerOutput {
+        self.finalize_rescanning(state, 1, Rescan::All)
+    }
+
+    /// The closing pass behind both finalize entry points: rescan and
+    /// promotion to a fixpoint, γ resolution, emission, and the closing
+    /// sentinel observation.
+    fn finalize_rescanning(
+        &self,
+        state: &mut GlobalizerState,
+        n_threads: usize,
+        rescan: Rescan,
+    ) -> GlobalizerOutput {
         let t0m = self.monitor.is_some().then(Instant::now);
         let t0 = Instant::now();
         let _span = self.phase_timer(&self.metrics.finalize_ns);
         // The closing pass counts as one breaker tick: a served cooldown
         // lets finalize probe a phase that was Open at the last batch.
         self.guard_tick();
-        let (n_rescanned, n_promoted) = self.close_stream(state, n_threads);
+        let (n_rescanned, n_promoted) = self.close_stream(state, n_threads, rescan);
         if self.config.ablation == Ablation::Full {
             self.classify_candidates(state, true, n_threads);
-        }
-        let t_emit = Instant::now();
-        let mut out = self.emit(state, n_rescanned, n_promoted);
-        let dt_emit = elapsed_ns(t_emit);
-        state.timings.emit_ns += dt_emit;
-        self.trace_phase_span(TracePhase::Emit, Some(TracePhase::Finalize), dt_emit);
-        let dt_total = elapsed_ns(t0);
-        state.timings.finalize_ns += dt_total;
-        self.trace_phase_span(TracePhase::Finalize, None, dt_total);
-        out.phase_timings = state.timings.clone();
-        self.observe_batch(state, t0m, true);
-        out
-    }
-
-    /// Brute-force reference for [`Globalizer::finalize`]: rescans *every*
-    /// stored sentence (once per promotion round) instead of only the
-    /// possibly-affected ones. Kept as the oracle the incremental path is
-    /// tested bit-identical against, and as the baseline for the `rescan`
-    /// benchmark.
-    pub fn finalize_full_rescan(&self, state: &mut GlobalizerState) -> GlobalizerOutput {
-        if self.config.ablation == Ablation::LocalOnly {
-            return self.emit(state, 0, 0);
-        }
-        let t0m = self.monitor.is_some().then(Instant::now);
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.finalize_ns);
-        self.guard_tick();
-        let mut n_rescanned = 0;
-        let mut n_promoted = 0;
-        loop {
-            self.metrics.finalize_promotion_rounds_total.inc();
-            state.dirty.clear();
-            let all: Vec<usize> = state
-                .tweetbase
-                .iter_indexed()
-                .map(|(i, _)| i)
-                .filter(|i| !state.quarantined_idx.contains(i))
-                .collect();
-            n_rescanned += all.len();
-            self.scan_records(state, &all, 1, PipelinePhase::FinalizeRescan);
-            let t_promo = Instant::now();
-            let promotions = self.find_promotions(state);
-            let dt_promo = elapsed_ns(t_promo);
-            state.timings.promotion_ns += dt_promo;
-            self.trace_phase_span(TracePhase::Promotion, Some(TracePhase::Finalize), dt_promo);
-            if promotions.is_empty() {
-                break;
-            }
-            for tokens in promotions {
-                if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
-                    n_promoted += 1;
-                    if emd_trace::enabled() {
-                        self.temit(TraceEvent {
-                            candidate: Some(tokens.join(" ")),
-                            phase: Some(TracePhase::Promotion),
-                            ..TraceEvent::of(TraceEventKind::Promotion)
-                        });
-                    }
-                }
-            }
-        }
-        self.metrics
-            .finalize_rescan_sentences_total
-            .add(n_rescanned as u64);
-        self.metrics
-            .finalize_promotions_total
-            .add(n_promoted as u64);
-        self.metrics.rescan_coverage.set(1.0);
-        self.mon_count(|c| c.promoted += n_promoted as u64);
-        if self.config.ablation == Ablation::Full {
-            self.classify_candidates(state, true, 1);
         }
         let t_emit = Instant::now();
         let mut out = self.emit(state, n_rescanned, n_promoted);
@@ -2330,7 +2159,7 @@ pub fn index_stream(
     // Closing rescan (candidates discovered late may have mentions in
     // earlier sentences) + promotion, shared with `finalize`, minus the
     // classification stage.
-    g.close_stream(&mut state, threads);
+    g.close_stream(&mut state, threads, Rescan::Dirty);
     state
 }
 
@@ -2511,6 +2340,63 @@ mod tests {
         g.process_batch_parallel(&mut s2, &stream, 4);
         let out2 = g.finalize(&mut s2);
         assert_eq!(out1.per_sentence, out2.per_sentence);
+    }
+
+    /// Thread count is invisible to observability: in a fault-free run the
+    /// trace (wall-clock durations aside) and every pipeline counter are
+    /// the same for the batch step at 1, 2 and 4 threads and for finalize
+    /// at 1 and 4 threads.
+    #[test]
+    fn thread_count_leaves_trace_and_counters_unchanged() {
+        let local = LexiconEmd::new(["italy", "covid", "beshear", "moross"]);
+        // A fresh classifier scores in the γ band, so candidates stay
+        // pending until finalize.
+        let clf = EntityClassifier::new(7, 3);
+        let words = ["Italy", "covid", "beshear", "reports", "Moross", "news"];
+        let stream: Vec<Sentence> = (0..24usize)
+            .map(|i| {
+                let toks = [words[i % 6], words[(i + 1) % 6], words[(i * 5 + 2) % 6]];
+                Sentence::from_tokens(SentenceId::new(i as u64, 0), toks)
+            })
+            .collect();
+        // Process-global switches; outputs are bit-identical either way.
+        emd_obs::set_enabled(true);
+        emd_trace::set_enabled(true);
+        let run = |batch_threads: usize, finalize_threads: usize| {
+            let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+            let reg = emd_obs::Registry::new();
+            g.set_metrics(PipelineMetrics::from_registry(&reg));
+            let sink = TraceSink::with_capacity(1 << 16);
+            g.set_trace(sink.clone());
+            let mut state = g.new_state();
+            for chunk in stream.chunks(8) {
+                if batch_threads == 1 {
+                    g.process_batch(&mut state, chunk);
+                } else {
+                    g.process_batch_parallel(&mut state, chunk, batch_threads);
+                }
+            }
+            let out = g.finalize_with_threads(&mut state, finalize_threads);
+            assert!(out.quarantined.is_empty());
+            let events: Vec<TraceEvent> = sink
+                .drain()
+                .into_iter()
+                .map(|ev| TraceEvent { dur_ns: None, ..ev })
+                .collect();
+            (events, g.metrics().snapshot().counters)
+        };
+        let base = run(1, 1);
+        // Finalize leaves records and candidates for more than one shard.
+        let count = |f: fn(&TraceEvent) -> bool| base.0.iter().filter(|e| f(e)).count();
+        let rescanned = |e: &TraceEvent| {
+            e.kind == TraceEventKind::ScanRecord && e.phase == Some(TracePhase::FinalizeRescan)
+        };
+        assert!(count(rescanned) >= 4);
+        assert!(count(|e| e.final_verdict == Some(true)) >= 4);
+        for (b, f) in [(2, 1), (4, 1), (1, 4)] {
+            assert_eq!(run(b, f), base, "batch step {b} threads, finalize {f}");
+        }
+        emd_trace::set_enabled(false);
     }
 
     #[test]

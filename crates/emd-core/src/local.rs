@@ -20,9 +20,11 @@ pub struct LocalEmdOutput {
 
 /// A pluggable Local EMD system.
 ///
-/// `Send + Sync` is required so the framework can fan sentence processing
-/// out across threads ([`crate::globalizer::Globalizer::process_batch_parallel`]);
-/// inference is `&self` and every provided implementation is plain data.
+/// `Send + Sync` is required because the batch step shards sentence
+/// processing across the caller's requested thread count
+/// ([`crate::globalizer::Globalizer::process_batch_parallel`]; one thread
+/// runs inline); inference is `&self` and every provided implementation is
+/// plain data.
 ///
 /// ## Boundary contract
 ///

@@ -363,22 +363,6 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         }
     }
 
-    /// Push one supervisor-level trace event, keeping the meta-counters
-    /// in step with [`Globalizer`]'s own emission.
-    fn temit(&self, ev: TraceEvent) -> Option<u64> {
-        let m = self.globalizer.metrics();
-        match self.globalizer.trace().push(ev) {
-            Some(seq) => {
-                m.trace_events_total.inc();
-                Some(seq)
-            }
-            None => {
-                m.trace_dropped_events_total.inc();
-                None
-            }
-        }
-    }
-
     /// Append one record to the dead-letter JSONL sibling of the
     /// checkpoint, when configured. Best-effort: an append failure is
     /// not a reason to kill a stream that just survived a fault.
@@ -420,7 +404,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         for s in batch.iter() {
             m.quarantined_total.inc();
             let trace_event = if tracing {
-                self.temit(TraceEvent {
+                self.globalizer.temit(TraceEvent {
                     sid: Some((s.id.tweet_id, s.id.sent_id)),
                     phase: Some(TracePhase::Supervisor),
                     reason: Some(reason.to_string()),
@@ -562,7 +546,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         if dropped > 0 {
             m.compactions_total.inc();
             if tracing {
-                self.temit(TraceEvent {
+                self.globalizer.temit(TraceEvent {
                     count: Some(dropped as u64),
                     phase: Some(TracePhase::Supervisor),
                     ..TraceEvent::of(TraceEventKind::StateCompacted)
@@ -582,7 +566,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             Ok(()) => {
                 ctx.checkpoints_written += 1;
                 if tracing {
-                    self.temit(TraceEvent {
+                    self.globalizer.temit(TraceEvent {
                         batch: Some(state.batch_seq),
                         count: Some(serviced as u64),
                         phase: Some(TracePhase::Supervisor),
@@ -613,13 +597,13 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             // batch, so replayed-suffix events slot in right after the
             // events the interrupted run had already flushed.
             sink.set_next_seq(state.trace_seq);
-            self.temit(TraceEvent {
+            self.globalizer.temit(TraceEvent {
                 count: Some(completed as u64),
                 phase: Some(TracePhase::Supervisor),
                 ..TraceEvent::of(TraceEventKind::CheckpointRestored)
             });
             if generation > 0 {
-                self.temit(TraceEvent {
+                self.globalizer.temit(TraceEvent {
                     count: Some(generation as u64),
                     reason: discard_reason.clone(),
                     phase: Some(TracePhase::Supervisor),
@@ -734,7 +718,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         self.globalizer.note_shed(batch.len() as u64);
         let reason = policy.name();
         if tracing {
-            self.temit(TraceEvent {
+            self.globalizer.temit(TraceEvent {
                 batch: Some(serviced as u64),
                 count: Some(batch.len() as u64),
                 reason: Some(reason.to_string()),

@@ -7,7 +7,7 @@
 //! cover the full u64 range; recording is a handful of relaxed atomic
 //! operations and never allocates.
 
-use crate::snapshot::{BucketSnapshot, ExemplarSnapshot, HistogramSnapshot};
+use crate::snapshot::{quantile_from_buckets, BucketSnapshot, ExemplarSnapshot, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -222,7 +222,6 @@ impl Histogram {
     /// Serializable snapshot: aggregate stats plus the non-empty buckets
     /// and any per-bucket exemplars.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let stats = self.stats();
         let mut buckets = Vec::new();
         let mut exemplars = Vec::new();
         for i in 0..N_BUCKETS {
@@ -245,15 +244,26 @@ impl Histogram {
                 });
             }
         }
+        // Count and quantiles come from the bucket counts just read, and
+        // the quantiles are clamped to the min/max read once here: a
+        // writer racing the snapshot must not leave `count` below the
+        // exported buckets or a quantile outside the reported range.
+        let count = buckets.iter().map(|b| b.count).sum();
+        let (min, max) = if count == 0 {
+            (0, 0)
+        } else {
+            (self.inner.min.load(Ordering::Relaxed), self.max())
+        };
+        let quantile = |q| quantile_from_buckets(&buckets, count, min, max, q);
         HistogramSnapshot {
             name: name.to_string(),
-            count: stats.count,
-            sum: stats.sum,
-            min: stats.min,
-            max: stats.max,
-            p50: stats.p50,
-            p90: stats.p90,
-            p99: stats.p99,
+            count,
+            sum: self.sum(),
+            min,
+            max,
+            p50: quantile(0.50),
+            p90: quantile(0.90),
+            p99: quantile(0.99),
             buckets,
             exemplars,
         }

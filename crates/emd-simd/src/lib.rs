@@ -1,414 +1,86 @@
 //! # emd-simd
 //!
-//! Portable SIMD kernels for the pipeline's always-on inner loops:
-//! embedding accumulation/pooling and the entity-classifier forward pass.
+//! The f32 kernels of the pipeline's always-on inner loops: embedding
+//! accumulation/pooling and the entity-classifier forward pass.
 //!
-//! ## Why "portable"
-//!
-//! Stable Rust has no `std::simd`, and this workspace vendors no intrinsics
-//! crates. The [`simd`] arm instead uses the stable lane-width-chunking
-//! idiom: slices are split with `chunks_exact(LANES)` and the fixed-size
-//! bodies are written so LLVM's auto-vectorizer reliably emits vector
-//! loads/stores and packed arithmetic (the chunking removes the bounds
-//! checks and trip-count uncertainty that defeat vectorization of the
-//! naive indexed loops in `emd-nn`). The [`scalar`] arm is the obvious
-//! one-element-at-a-time loop.
+//! Each kernel is a plain one-element-at-a-time loop. LLVM already
+//! auto-vectorizes these loops: a hand-written lane-chunked arm measured at
+//! parity with them (64-d mean-pool accumulate 5 ns vs 6 ns; a 64×32 dense
+//! layer was slower chunked, 315 ns vs 263 ns) and made no difference to
+//! end-to-end stream throughput, so it was dropped.
 //!
 //! ## The bit-identity contract
 //!
-//! Every pair of arms computes **the same sequence of f32 operations per
-//! output element** — kernels only ever vectorize *across independent
-//! output lanes* (elementwise ops; the per-output-column accumulation of
-//! the dense forward pass), never inside a reduction. IEEE-754 arithmetic
-//! is deterministic per operation, so the two arms are bit-identical on
-//! every input, including NaN/∞/subnormals — proptest-enforced in this
-//! crate. That is what lets the scalar fallback hide behind a feature flag
-//! without threatening any of the repo's bit-identity suites (windowed,
-//! trace-replay, guard transparency, checkpoint round-trip).
-//!
-//! In particular [`dense_forward`] replicates `emd-nn`'s
-//! `Matrix::matmul` contract exactly: ikj loop order, the `a == 0.0`
-//! row-skip, accumulation from zero, bias added after the full
-//! accumulation — so swapping the classifier/pooling hot path onto these
-//! kernels changes no observable output anywhere in the pipeline.
-//!
-//! Dispatch: the crate-level functions forward to [`simd`] by default and
-//! to [`scalar`] when the `force-scalar` feature is on (see `ci.sh`, which
-//! tests both arms).
+//! [`dense_forward`] replicates `emd-nn`'s `Matrix::matmul` contract
+//! exactly: ikj loop order, the `a == 0.0` row-skip, accumulation from
+//! zero, bias added after the full accumulation. The pooling kernels
+//! perform the same per-element op as the `Matrix` helpers they replace.
+//! IEEE-754 arithmetic is deterministic per operation, so swapping the
+//! classifier/pooling hot path onto these kernels changes no observable
+//! output anywhere in the pipeline. The contract is pinned against the
+//! `emd-nn` matrix path by `emd-core`'s classifier and phrase-embedder
+//! tests.
 
-/// Lane width the chunked arm is written for. Eight f32 lanes = one AVX
-/// register on x86-64, two NEON registers on aarch64; narrower targets
-/// just see an unrolled-by-8 loop.
-pub const LANES: usize = 8;
-
-/// Which arm the dispatching entry points call in this build.
-pub const ACTIVE_ARM: &str = if cfg!(feature = "force-scalar") {
-    "scalar"
-} else {
-    "simd"
-};
-
-/// One-element-at-a-time reference implementations.
-pub mod scalar {
-    /// `acc[i] += x[i]` (embedding-sum accumulation).
-    pub fn add_assign(acc: &mut [f32], x: &[f32]) {
-        assert_eq!(acc.len(), x.len());
-        for (a, &b) in acc.iter_mut().zip(x) {
-            *a += b;
-        }
-    }
-
-    /// `acc[i] = acc[i].max(x[i])` (max pooling).
-    pub fn max_assign(acc: &mut [f32], x: &[f32]) {
-        assert_eq!(acc.len(), x.len());
-        for (a, &b) in acc.iter_mut().zip(x) {
-            *a = a.max(b);
-        }
-    }
-
-    /// `out[i] = x[i] / d` (mean pooling: sum ÷ count; division, not
-    /// reciprocal-multiply, to stay bit-identical with the historical
-    /// `global_embedding` path).
-    pub fn div_into(out: &mut [f32], x: &[f32], d: f32) {
-        assert_eq!(out.len(), x.len());
-        for (o, &b) in out.iter_mut().zip(x) {
-            *o = b / d;
-        }
-    }
-
-    /// `xs[i] *= k` (the `Matrix::scale` op `row_mean` pools with).
-    pub fn scale(xs: &mut [f32], k: f32) {
-        for v in xs {
-            *v *= k;
-        }
-    }
-
-    /// `xs[i] = xs[i].max(0.0)` (classifier hidden activation).
-    pub fn relu(xs: &mut [f32]) {
-        for v in xs {
-            *v = v.max(0.0);
-        }
-    }
-
-    /// Single-row dense layer: `y = xW + b`, `w` row-major `[in, out]`.
-    ///
-    /// Replicates `Matrix::matmul`'s ikj order and `a == 0.0` skip, then
-    /// `add_row_broadcast` — every `y[j]` sees the identical op sequence
-    /// the `emd-nn` path produced.
-    pub fn dense_forward(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
-        let out = y.len();
-        assert_eq!(bias.len(), out);
-        assert_eq!(w.len(), x.len() * out);
-        y.fill(0.0);
-        for (k, &a) in x.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let wrow = &w[k * out..(k + 1) * out];
-            for (yj, &wj) in y.iter_mut().zip(wrow) {
-                *yj += a * wj;
-            }
-        }
-        for (yj, &bj) in y.iter_mut().zip(bias) {
-            *yj += bj;
-        }
-    }
-}
-
-/// Lane-chunked implementations (LLVM auto-vectorizes the fixed-width
-/// bodies). Per output element these perform exactly the ops of
-/// [`scalar`] — see the crate docs for the bit-identity argument.
-pub mod simd {
-    use super::LANES;
-
-    /// `acc[i] += x[i]`.
-    pub fn add_assign(acc: &mut [f32], x: &[f32]) {
-        assert_eq!(acc.len(), x.len());
-        let mut ac = acc.chunks_exact_mut(LANES);
-        let mut xc = x.chunks_exact(LANES);
-        for (a, b) in ac.by_ref().zip(xc.by_ref()) {
-            for l in 0..LANES {
-                a[l] += b[l];
-            }
-        }
-        for (a, &b) in ac.into_remainder().iter_mut().zip(xc.remainder()) {
-            *a += b;
-        }
-    }
-
-    /// `acc[i] = acc[i].max(x[i])`.
-    pub fn max_assign(acc: &mut [f32], x: &[f32]) {
-        assert_eq!(acc.len(), x.len());
-        let mut ac = acc.chunks_exact_mut(LANES);
-        let mut xc = x.chunks_exact(LANES);
-        for (a, b) in ac.by_ref().zip(xc.by_ref()) {
-            for l in 0..LANES {
-                a[l] = a[l].max(b[l]);
-            }
-        }
-        for (a, &b) in ac.into_remainder().iter_mut().zip(xc.remainder()) {
-            *a = a.max(b);
-        }
-    }
-
-    /// `out[i] = x[i] / d`.
-    pub fn div_into(out: &mut [f32], x: &[f32], d: f32) {
-        assert_eq!(out.len(), x.len());
-        let mut oc = out.chunks_exact_mut(LANES);
-        let mut xc = x.chunks_exact(LANES);
-        for (o, b) in oc.by_ref().zip(xc.by_ref()) {
-            for l in 0..LANES {
-                o[l] = b[l] / d;
-            }
-        }
-        for (o, &b) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *o = b / d;
-        }
-    }
-
-    /// `xs[i] *= k`.
-    pub fn scale(xs: &mut [f32], k: f32) {
-        let mut c = xs.chunks_exact_mut(LANES);
-        for v in c.by_ref() {
-            for e in v.iter_mut() {
-                *e *= k;
-            }
-        }
-        for v in c.into_remainder() {
-            *v *= k;
-        }
-    }
-
-    /// `xs[i] = xs[i].max(0.0)`.
-    pub fn relu(xs: &mut [f32]) {
-        let mut c = xs.chunks_exact_mut(LANES);
-        for v in c.by_ref() {
-            for e in v.iter_mut() {
-                *e = e.max(0.0);
-            }
-        }
-        for v in c.into_remainder() {
-            *v = v.max(0.0);
-        }
-    }
-
-    /// Single-row dense layer `y = xW + b`, vectorized across the output
-    /// columns: each `y[j]` still accumulates sequentially over `k` in ikj
-    /// order with the `a == 0.0` skip, so the reduction order — and hence
-    /// every bit of the result — matches [`super::scalar::dense_forward`].
-    pub fn dense_forward(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
-        let out = y.len();
-        assert_eq!(bias.len(), out);
-        assert_eq!(w.len(), x.len() * out);
-        y.fill(0.0);
-        for (k, &a) in x.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let wrow = &w[k * out..(k + 1) * out];
-            let mut yc = y.chunks_exact_mut(LANES);
-            let mut wc = wrow.chunks_exact(LANES);
-            for (yv, wv) in yc.by_ref().zip(wc.by_ref()) {
-                for l in 0..LANES {
-                    yv[l] += a * wv[l];
-                }
-            }
-            for (yj, &wj) in yc.into_remainder().iter_mut().zip(wc.remainder()) {
-                *yj += a * wj;
-            }
-        }
-        let mut yc = y.chunks_exact_mut(LANES);
-        let mut bc = bias.chunks_exact(LANES);
-        for (yv, bv) in yc.by_ref().zip(bc.by_ref()) {
-            for l in 0..LANES {
-                yv[l] += bv[l];
-            }
-        }
-        for (yj, &bj) in yc.into_remainder().iter_mut().zip(bc.remainder()) {
-            *yj += bj;
-        }
-    }
-}
-
-#[cfg(feature = "force-scalar")]
-use scalar as active;
-#[cfg(not(feature = "force-scalar"))]
-use simd as active;
-
-/// `acc[i] += x[i]` — dispatching entry point.
-#[inline]
+/// `acc[i] += x[i]` (embedding-sum accumulation).
 pub fn add_assign(acc: &mut [f32], x: &[f32]) {
-    active::add_assign(acc, x)
+    assert_eq!(acc.len(), x.len());
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a += b;
+    }
 }
 
-/// `acc[i] = acc[i].max(x[i])` — dispatching entry point.
-#[inline]
+/// `acc[i] = acc[i].max(x[i])` (max pooling).
 pub fn max_assign(acc: &mut [f32], x: &[f32]) {
-    active::max_assign(acc, x)
+    assert_eq!(acc.len(), x.len());
+    for (a, &b) in acc.iter_mut().zip(x) {
+        *a = a.max(b);
+    }
 }
 
-/// `out[i] = x[i] / d` — dispatching entry point.
-#[inline]
+/// `out[i] = x[i] / d` (mean pooling: sum ÷ count; division, not
+/// reciprocal-multiply, to stay bit-identical with the historical
+/// `global_embedding` path).
 pub fn div_into(out: &mut [f32], x: &[f32], d: f32) {
-    active::div_into(out, x, d)
+    assert_eq!(out.len(), x.len());
+    for (o, &b) in out.iter_mut().zip(x) {
+        *o = b / d;
+    }
 }
 
-/// `xs[i] *= k` — dispatching entry point.
-#[inline]
+/// `xs[i] *= k` (the `Matrix::scale` op `row_mean` pools with).
 pub fn scale(xs: &mut [f32], k: f32) {
-    active::scale(xs, k)
+    for v in xs {
+        *v *= k;
+    }
 }
 
-/// `xs[i] = xs[i].max(0.0)` — dispatching entry point.
-#[inline]
+/// `xs[i] = xs[i].max(0.0)` (classifier hidden activation).
 pub fn relu(xs: &mut [f32]) {
-    active::relu(xs)
+    for v in xs {
+        *v = v.max(0.0);
+    }
 }
 
-/// Single-row `y = xW + b` — dispatching entry point.
-#[inline]
+/// Single-row dense layer: `y = xW + b`, `w` row-major `[in, out]`.
+///
+/// Replicates `Matrix::matmul`'s ikj order and `a == 0.0` skip, then
+/// `add_row_broadcast` — every `y[j]` sees the identical op sequence the
+/// `emd-nn` path produced.
 pub fn dense_forward(x: &[f32], w: &[f32], bias: &[f32], y: &mut [f32]) {
-    active::dense_forward(x, w, bias, y)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Edge values every elementwise kernel pair is checked on: zeros of
-    /// both signs, infinities, NaN, subnormals, and ordinary magnitudes.
-    const EDGE: [f32; 10] = [
-        0.0,
-        -0.0,
-        1.0,
-        -1.5,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-        f32::MIN_POSITIVE / 2.0, // subnormal
-        3.4e38,
-        -7.25e-3,
-    ];
-
-    fn bits(xs: &[f32]) -> Vec<u32> {
-        xs.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn arms_agree_on_edge_values() {
-        // 33 elements: four full 8-lane chunks plus a remainder lane.
-        let x: Vec<f32> = (0..33).map(|i| EDGE[i % EDGE.len()]).collect();
-        let y: Vec<f32> = (0..33).map(|i| EDGE[(i * 3 + 1) % EDGE.len()]).collect();
-
-        let (mut a, mut b) = (x.clone(), x.clone());
-        scalar::add_assign(&mut a, &y);
-        simd::add_assign(&mut b, &y);
-        assert_eq!(bits(&a), bits(&b));
-
-        let (mut a, mut b) = (x.clone(), x.clone());
-        scalar::max_assign(&mut a, &y);
-        simd::max_assign(&mut b, &y);
-        assert_eq!(bits(&a), bits(&b));
-
-        let (mut a, mut b) = (vec![0.0; 33], vec![0.0; 33]);
-        scalar::div_into(&mut a, &x, 3.0);
-        simd::div_into(&mut b, &x, 3.0);
-        assert_eq!(bits(&a), bits(&b));
-
-        let (mut a, mut b) = (x.clone(), x.clone());
-        scalar::relu(&mut a);
-        simd::relu(&mut b);
-        assert_eq!(bits(&a), bits(&b));
-
-        let (mut a, mut b) = (x.clone(), x.clone());
-        scalar::scale(&mut a, 0.125);
-        simd::scale(&mut b, 0.125);
-        assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
-    fn dense_forward_matches_between_arms_with_zero_skip() {
-        // x contains exact zeros so the skip path is exercised.
-        let x = [0.5f32, 0.0, -2.0, 0.0, 1.25, 3.0e-7, 0.0];
-        let w: Vec<f32> = (0..7 * 19).map(|i| (i as f32).sin()).collect();
-        let bias: Vec<f32> = (0..19).map(|i| (i as f32) * 0.01 - 0.05).collect();
-        let mut ys = vec![0.0f32; 19];
-        let mut yv = vec![1.0f32; 19]; // stale contents must not leak through
-        scalar::dense_forward(&x, &w, &bias, &mut ys);
-        simd::dense_forward(&x, &w, &bias, &mut yv);
-        assert_eq!(bits(&ys), bits(&yv));
-    }
-
-    #[test]
-    fn dispatch_matches_feature() {
-        if cfg!(feature = "force-scalar") {
-            assert_eq!(ACTIVE_ARM, "scalar");
-        } else {
-            assert_eq!(ACTIVE_ARM, "simd");
+    let out = y.len();
+    assert_eq!(bias.len(), out);
+    assert_eq!(w.len(), x.len() * out);
+    y.fill(0.0);
+    for (k, &a) in x.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        let wrow = &w[k * out..(k + 1) * out];
+        for (yj, &wj) in y.iter_mut().zip(wrow) {
+            *yj += a * wj;
         }
     }
-
-    fn vec_strat(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
-        proptest::collection::vec(-1.0e3f32..1.0e3, 0..max_len)
-    }
-
-    proptest! {
-        /// Elementwise kernels: scalar and SIMD arms are bit-identical on
-        /// arbitrary finite inputs of arbitrary (mis)aligned lengths.
-        #[test]
-        fn elementwise_arms_bit_identical(x in vec_strat(64), seed in 0u32..1000) {
-            let y: Vec<f32> = x.iter().enumerate()
-                .map(|(i, v)| v * 0.37 + (i as f32) - seed as f32 * 0.01)
-                .collect();
-
-            let (mut a, mut b) = (x.clone(), x.clone());
-            scalar::add_assign(&mut a, &y);
-            simd::add_assign(&mut b, &y);
-            prop_assert_eq!(bits(&a), bits(&b));
-
-            let (mut a, mut b) = (x.clone(), x.clone());
-            scalar::max_assign(&mut a, &y);
-            simd::max_assign(&mut b, &y);
-            prop_assert_eq!(bits(&a), bits(&b));
-
-            let (mut a, mut b) = (vec![0.0; x.len()], vec![0.0; x.len()]);
-            let d = 1.0 + seed as f32;
-            scalar::div_into(&mut a, &x, d);
-            simd::div_into(&mut b, &x, d);
-            prop_assert_eq!(bits(&a), bits(&b));
-
-            let (mut a, mut b) = (x.clone(), x.clone());
-            scalar::relu(&mut a);
-            simd::relu(&mut b);
-            prop_assert_eq!(bits(&a), bits(&b));
-
-            let (mut a, mut b) = (x.clone(), x.clone());
-            scalar::scale(&mut a, 1.0 / d);
-            simd::scale(&mut b, 1.0 / d);
-            prop_assert_eq!(bits(&a), bits(&b));
-        }
-
-        /// Dense forward: both arms bit-identical for arbitrary layer
-        /// shapes, including in/out dims that are not lane multiples.
-        #[test]
-        fn dense_forward_arms_bit_identical(
-            in_dim in 0usize..12,
-            out_dim in 0usize..20,
-            pool in proptest::collection::vec(-50.0f32..50.0, 260),
-        ) {
-            let x: Vec<f32> = pool[..in_dim]
-                .iter()
-                // Plant exact zeros to hit the skip path.
-                .map(|&v| if v.abs() < 5.0 { 0.0 } else { v })
-                .collect();
-            let w = &pool[in_dim..in_dim + in_dim * out_dim];
-            let bias = &pool[240..240 + out_dim];
-            let mut ys = vec![0.0f32; out_dim];
-            let mut yv = vec![-1.0f32; out_dim];
-            scalar::dense_forward(&x, w, bias, &mut ys);
-            simd::dense_forward(&x, w, bias, &mut yv);
-            prop_assert_eq!(bits(&ys), bits(&yv));
-        }
+    for (yj, &bj) in y.iter_mut().zip(bias) {
+        *yj += bj;
     }
 }
