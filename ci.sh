@@ -18,6 +18,20 @@ echo "== perfbench harness tests =="
 # crates it drives from breaking the benchmark unnoticed.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== rescan output digest guard =="
+# One untimed churn-window run (about 12 s) must reproduce the committed
+# per-stream output digests. Which records get rescanned, and what a
+# rescan finds, both show up in them, so this catches output drift in the
+# rescan path. Reads perfbench's committed results and writes nothing
+# there beyond its gitignored build and run directories.
+want=$(grep -o 'fnv1a64=[^ ]*' perfbench/results/churn-window-seed1-trace0.out)
+got=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload churn-window --seed 1 --seconds 0 --trace 0 | grep -o 'fnv1a64=[^ ]*')
+if [ "$got" != "$want" ]; then
+    echo "churn-window seed 1 digest drift: got $got, want $want" >&2
+    exit 1
+fi
+
 echo "== instrumented smoke pipeline =="
 # The quickstart runs the full pipeline with metric recording on and
 # asserts nonzero sample counts and sane quantiles for every phase

@@ -12,7 +12,8 @@
 //! - `DIAG_NO_PRUNE=1`    disable frequency-decay candidate pruning
 //! - `DIAG_NO_PROMO=1`    disable adjacent-pair promotion
 //! - `DIAG_OBS=1`         enable `emd_obs` and print phase histograms
-//!   (adds per-batch store walks — inflates evict)
+//!   and per-sentence work counters (adds per-batch store walks —
+//!   inflates evict)
 
 use emd_bench::{bench_stream, chunker_variant, SEED};
 use emd_core::config::WindowConfig;
@@ -60,7 +61,21 @@ fn main() {
     let (out, state) = g.run(&sents, batch);
     let dt = t0.elapsed();
     if emd_obs::enabled() {
-        for h in g.metrics().snapshot().histograms {
+        let snap = g.metrics().snapshot();
+        for name in [
+            "emd_scan_records_total",
+            "emd_dirty_marks_total",
+            "emd_dirty_postings_visited_total",
+        ] {
+            let v = snap.counter(name).unwrap_or(0);
+            println!(
+                "  work {:<34} {:>12} ({:.3} per sentence)",
+                name,
+                v,
+                v as f64 / n as f64
+            );
+        }
+        for h in snap.histograms {
             if h.count > 0 {
                 println!(
                     "  hist {:<30} n={:<7} sum={:>8.1}ms p50={:>9.0} p99={:>10.0}",

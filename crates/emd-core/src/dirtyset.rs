@@ -1,15 +1,13 @@
 //! Bitset-backed dirty-slot index for the rescan queue.
 //!
-//! Registering one new candidate marks every stored sentence containing
-//! its first token as dirty — for a common first token that is thousands
-//! of slot indices, and a churny stream registers tens of thousands of
-//! candidates. With a `BTreeSet<usize>` that fanout was the single
-//! largest ingest cost (~100ns per insert, millions of inserts per
-//! million sentences). [`DirtySet`] replaces it with a growable bitset
-//! plus a cached population count: insert/remove/contains are a word
-//! index and a mask, and iteration walks set bits in ascending slot
-//! order — exactly the order the `BTreeSet` iterated, so rescan replay
-//! order (and therefore output bit-identity) is unchanged.
+//! Registering one new candidate marks every stored sentence that spells
+//! its whole phrase as dirty, and every ingested sentence starts dirty;
+//! the mark-dirty walk also asks, per posting entry, whether the record
+//! is dirty already. [`DirtySet`] is a growable bitset plus a cached
+//! population count: insert/remove/contains are a word index and a
+//! mask, and iteration walks set bits in ascending slot order — the
+//! order the `BTreeSet` it replaced iterated, so rescan replay order
+//! (and therefore output bit-identity) is unchanged.
 //!
 //! Checkpoints serialize the set as a sorted index list, byte-identical
 //! to the list the `BTreeSet` produced, so the on-disk schema is

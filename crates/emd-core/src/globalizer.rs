@@ -10,8 +10,9 @@
 //! The closing rescan is *incremental*: the state tracks which stored
 //! sentences could possibly be affected by candidates registered after
 //! their last scan (via the [`TweetBase`] token inverted index — a new
-//! candidate can only change sentences containing its first token), and
-//! [`Globalizer::finalize`] rescans only those. The brute-force
+//! candidate can only change sentences that spell its whole phrase as a
+//! contiguous token run), and [`Globalizer::finalize`] rescans only
+//! those. The brute-force
 //! [`Globalizer::finalize_full_rescan`] runs the same closing pass with
 //! one difference — each round rescans every live record — and is the
 //! reference that record selection is tested bit-identical against.
@@ -50,6 +51,7 @@ use emd_resilience::quarantine::{PipelinePhase, QuarantineEntry};
 use emd_resilience::{failpoint, isolate, validate};
 use emd_sentinel::{AlertKind, BatchObservation, HealthReport, HealthState, Sentinel};
 use emd_text::casing::{syntactic_class, SyntacticClass};
+use emd_text::intern::Sym;
 use emd_text::token::{Sentence, SentenceId, Span};
 use emd_trace::{
     TraceAblation, TraceBreaker, TraceEvent, TraceEventKind, TraceHealth, TraceLabel, TracePhase,
@@ -59,6 +61,21 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// First position at or after `from` in the ascending `list` whose
+/// entry is `>= target`: doubling steps from `from`, then a binary search
+/// of the last step. Successive calls with ascending targets walk the list
+/// once, touching O(log gap) entries per call.
+fn gallop(list: &[usize], from: usize, target: usize) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < list.len() && list[hi] < target {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(list.len());
+    lo + list[lo..hi].partition_point(|&x| x < target)
+}
 
 /// Elapsed nanoseconds since `t0`, saturating into a `u64`.
 #[inline]
@@ -186,13 +203,12 @@ pub struct GlobalizerState {
     /// Per-candidate records with pooled global embeddings.
     pub candidates: CandidateBase,
     /// Stream-order indices of records whose stored `global_mentions` may
-    /// be stale: never scanned yet, or a candidate whose first token they
+    /// be stale: never scanned yet, or a candidate whose whole phrase they
     /// contain was registered after their last scan. Iterated in
     /// ascending (stream) order so rescans replay in stream order,
     /// keeping outputs bit-identical to a full sequential rescan. A
-    /// bitset rather than an ordered tree: the mark-dirty fanout inserts
-    /// millions of indices per million sentences, and the bitset insert
-    /// is ~30x cheaper while checkpointing to the same sorted list.
+    /// bitset: insert, membership and ascending iteration are a word
+    /// index and a mask, and it checkpoints to a sorted index list.
     dirty: DirtySet,
     /// Cumulative per-phase wall-clock spent on this state, accumulated
     /// unconditionally (one clock read per phase call) and surfaced via
@@ -1187,6 +1203,7 @@ impl<'a> Globalizer<'a> {
         }
         let trie_span = self.phase_timer(&self.metrics.trie_register_ns);
         let mut n_inserted = 0u64;
+        let (mut n_marks, mut n_visits) = (0u64, 0u64);
         for (sentence, spans) in batch.iter().zip(&kept) {
             let Some(spans) = spans else { continue };
             for sp in spans {
@@ -1205,7 +1222,9 @@ impl<'a> Globalizer<'a> {
                                 ..TraceEvent::of(TraceEventKind::TrieInsert)
                             });
                         }
-                        Self::mark_dirty(state, toks[0]);
+                        let (marks, visits) = Self::mark_dirty(state, &toks);
+                        n_marks += marks;
+                        n_visits += visits;
                     }
                 }
             }
@@ -1213,6 +1232,8 @@ impl<'a> Globalizer<'a> {
         drop(trie_span);
         self.metrics.local_spans_total.add(n_local_spans);
         self.metrics.trie_inserts_total.add(n_inserted);
+        self.metrics.dirty_marks_total.add(n_marks);
+        self.metrics.dirty_postings_visited_total.add(n_visits);
         self.mon_count(|c| {
             c.local_spans += n_local_spans;
             c.trie_inserts += n_inserted;
@@ -1222,21 +1243,67 @@ impl<'a> Globalizer<'a> {
         self.trace_phase_span(TracePhase::Ingest, None, dt);
     }
 
-    /// Mark every stored sentence containing the candidate's first token
-    /// as needing a rescan: a candidate insertion can only change a
-    /// sentence's extraction if the sentence contains that token.
-    /// Quarantined records are permanently excluded. Resolves the token
-    /// through the interner (any casing); an unknown token occurs in no
-    /// stored sentence, so there is nothing to dirty.
-    fn mark_dirty(state: &mut GlobalizerState, first_token: &str) {
-        let Some(sym) = state.tweetbase.interner().lookup_folded(first_token) else {
-            return;
+    /// Mark every stored sentence that contains the newly registered
+    /// candidate `phrase` as a contiguous run of tokens (any casing) as
+    /// needing a rescan. This is exact: greedy longest-match extraction
+    /// can only end differently at an anchor where the sentence's symbols
+    /// spell the new trie path in full, so a record without the phrase
+    /// extracts the same mentions as before.
+    ///
+    /// Walks the shortest posting list among the phrase's symbols. An
+    /// entry must also appear in every other symbol's list (a forward
+    /// gallop over the sorted lists, so most entries are rejected without
+    /// touching their record), and only then is its `tok_syms` checked for
+    /// the run; a one-token phrase needs no run check, since posting
+    /// membership already proves it. Records already dirty or quarantined
+    /// are skipped. A token unknown to the interner occurs in no stored
+    /// sentence, so there is nothing to dirty. Returns `(records newly
+    /// dirtied, entries of the walked list)`.
+    fn mark_dirty<S: AsRef<str>>(state: &mut GlobalizerState, phrase: &[S]) -> (u64, u64) {
+        let tweetbase = &state.tweetbase;
+        let Some(syms) = phrase
+            .iter()
+            .map(|t| tweetbase.interner().lookup_folded(t.as_ref()))
+            .collect::<Option<Vec<Sym>>>()
+        else {
+            return (0, 0);
         };
-        for &i in state.tweetbase.indices_with_sym(sym) {
-            if !state.quarantined_idx.contains(&i) {
-                state.dirty.insert(i);
+        let mut distinct = syms.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut lists: Vec<&[usize]> = distinct
+            .iter()
+            .map(|&sym| tweetbase.indices_with_sym(sym))
+            .collect();
+        lists.sort_by_key(|list| list.len());
+        let Some((walk, rest)) = lists.split_first() else {
+            return (0, 0);
+        };
+        let mut cursors = vec![0usize; rest.len()];
+        let mut marks = 0u64;
+        'visit: for &i in *walk {
+            if state.dirty.contains(i) || state.quarantined_idx.contains(&i) {
+                continue;
             }
+            for (list, cur) in rest.iter().zip(&mut cursors) {
+                *cur = gallop(list, *cur, i);
+                if list.get(*cur) != Some(&i) {
+                    continue 'visit;
+                }
+            }
+            if syms.len() > 1
+                && !tweetbase
+                    .get_by_index(i)
+                    .tok_syms
+                    .windows(syms.len())
+                    .any(|run| run == syms.as_slice())
+            {
+                continue;
+            }
+            state.dirty.insert(i);
+            marks += 1;
         }
+        (marks, walk.len() as u64)
     }
 
     /// Mention extraction + embedding staging for one record (read-only; a
@@ -1925,6 +1992,7 @@ impl<'a> Globalizer<'a> {
         }
         let mut n_rescanned = 0;
         let mut n_promoted = 0;
+        let (mut n_marks, mut n_visits) = (0u64, 0u64);
         self.metrics.dirty_depth.set(state.dirty.len() as f64);
         loop {
             self.metrics.finalize_promotion_rounds_total.inc();
@@ -1960,10 +2028,14 @@ impl<'a> Globalizer<'a> {
                             ..TraceEvent::of(TraceEventKind::Promotion)
                         });
                     }
-                    Self::mark_dirty(state, &tokens[0]);
+                    let (marks, visits) = Self::mark_dirty(state, &tokens);
+                    n_marks += marks;
+                    n_visits += visits;
                 }
             }
         }
+        self.metrics.dirty_marks_total.add(n_marks);
+        self.metrics.dirty_postings_visited_total.add(n_visits);
         self.metrics
             .finalize_rescan_sentences_total
             .add(n_rescanned as u64);
@@ -2568,7 +2640,7 @@ mod tests {
     #[test]
     fn finalize_rescans_only_affected_sentences() {
         // Candidate discovered in the last batch: only the earlier sentences
-        // containing its first token are rescanned at close, not the stream.
+        // containing it are rescanned at close, not the stream.
         let local = LexiconEmd::new(["beshear"]);
         let clf = accept_all(7);
         let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
@@ -2641,6 +2713,81 @@ mod tests {
         );
         assert_eq!(out.per_sentence[0].1.len(), 1, "early mention recovered");
         assert_eq!(out.per_sentence[3].1.len(), 1);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_entry_not_below_target() {
+        let list = [2, 3, 5, 8, 13, 21, 34];
+        for from in 0..=list.len() {
+            for target in 0..40 {
+                let want = from + list[from..].partition_point(|&x| x < target);
+                assert_eq!(
+                    gallop(&list, from, target),
+                    want,
+                    "from {from} target {target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn late_phrase_dirties_only_records_spelling_it() {
+        // "new york" first becomes a candidate in the last batch. Of the
+        // earlier records only those spelling the whole phrase, in order
+        // and in any casing, may be rescanned at close: sharing its first
+        // token, its last token, or both in the wrong order is not enough.
+        #[derive(Debug)]
+        struct LastOnly;
+        impl LocalEmd for LastOnly {
+            fn name(&self) -> &str {
+                "last-only"
+            }
+            fn embedding_dim(&self) -> Option<usize> {
+                None
+            }
+            fn process(&self, s: &Sentence) -> crate::local::LocalEmdOutput {
+                let spans = if s.id.tweet_id == 5 {
+                    vec![Span::new(1, 3)]
+                } else {
+                    vec![]
+                };
+                crate::local::LocalEmdOutput {
+                    spans,
+                    token_embeddings: None,
+                }
+            }
+        }
+        let local = LastOnly;
+        let clf = accept_all(7);
+        let g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+        let stream = sents(&[
+            &["I", "love", "New", "York"],
+            &["new", "jersey", "is", "near"],
+            &["york", "new", "order"],
+            &["something", "new"],
+            &["NEW", "YORK", "rocks"],
+            &["in", "New", "York", "again"],
+        ]);
+        let mut state = g.new_state();
+        for s in &stream {
+            g.process_batch(&mut state, std::slice::from_ref(s));
+        }
+        let dirty: Vec<usize> = state.dirty.iter().collect();
+        assert_eq!(dirty, vec![0, 4], "only records 0 and 4 await a rescan");
+        let out = g.finalize(&mut state);
+        assert_eq!(out.n_rescanned, 2, "records 0 and 4 only");
+        let spans: Vec<&[Span]> = out.per_sentence.iter().map(|(_, v)| &v[..]).collect();
+        assert_eq!(
+            spans,
+            vec![
+                &[Span::new(2, 4)][..],
+                &[],
+                &[],
+                &[],
+                &[Span::new(0, 2)],
+                &[Span::new(1, 3)],
+            ]
+        );
     }
 
     #[test]

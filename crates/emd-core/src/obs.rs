@@ -126,6 +126,8 @@ pipeline_metrics! {
         sentences_total => "emd_pipeline_sentences_total",
         local_spans_total => "emd_pipeline_local_spans_total",
         trie_inserts_total => "emd_trie_inserts_total",
+        dirty_marks_total => "emd_dirty_marks_total",
+        dirty_postings_visited_total => "emd_dirty_postings_visited_total",
         scan_records_total => "emd_scan_records_total",
         scan_mentions_total => "emd_scan_mentions_total",
         pool_embeddings_total => "emd_pool_embeddings_total",
@@ -210,7 +212,7 @@ mod tests {
         let reg = Registry::new();
         let m = PipelineMetrics::from_registry(&reg);
         let snap = m.snapshot();
-        assert_eq!(snap.counters.len(), 29);
+        assert_eq!(snap.counters.len(), 31);
         assert_eq!(snap.gauges.len(), 9);
         assert_eq!(snap.histograms.len(), 11);
         assert!(snap.counter("emd_guard_admitted_batches_total").is_some());
@@ -237,6 +239,8 @@ mod tests {
             .is_some());
         assert!(snap.gauge("emd_sentinel_health").is_some());
         assert!(snap.counter("emd_trie_inserts_total").is_some());
+        assert!(snap.counter("emd_dirty_marks_total").is_some());
+        assert!(snap.counter("emd_dirty_postings_visited_total").is_some());
         assert!(snap.counter("emd_window_evicted_records_total").is_some());
         assert!(snap.counter("emd_window_pruned_candidates_total").is_some());
         assert!(snap.counter("emd_window_compactions_total").is_some());

@@ -120,8 +120,10 @@ impl TweetRecord {
 /// sentences containing that token. Global EMD uses it to find which
 /// sentences a newly discovered candidate could possibly match — a
 /// candidate insertion only changes a sentence's extraction if the
-/// sentence contains the candidate's first token — so the close-of-stream
-/// rescan touches only those sentences instead of the whole stream.
+/// sentence spells the candidate's whole phrase, so it intersects the
+/// posting lists of the phrase's tokens and checks each survivor's
+/// [`TweetRecord::tok_syms`] for the run — and the close-of-stream rescan
+/// touches only those sentences instead of the whole stream.
 ///
 /// Posting-list invariant: every list holds strictly ascending indices of
 /// **live** records whose sentence contains the token. Replacement and
