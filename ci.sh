@@ -15,8 +15,17 @@ cargo test --workspace --release
 echo "== perfbench harness tests =="
 # perfbench is a workspace of its own, so `cargo test --workspace` never
 # compiles it. Building and testing it here keeps an API change in the
-# crates it drives from breaking the benchmark unnoticed.
+# crates it drives from breaking the benchmark unnoticed. Its lockfile
+# lists every crate it builds with that crate's dependencies, so a crate
+# or dependency change in crates/ would make cargo rewrite it — silently
+# changing what the benchmark builds. Fail instead.
+lock_before=$(cksum perfbench/Cargo.lock)
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+lock_after=$(cksum perfbench/Cargo.lock)
+if [ "$lock_after" != "$lock_before" ]; then
+    echo "the perfbench build rewrote perfbench/Cargo.lock; restore it and keep crates/ dependencies unchanged" >&2
+    exit 1
+fi
 
 echo "== rescan output digest guard =="
 # One untimed churn-window run (about 12 s) must reproduce the committed

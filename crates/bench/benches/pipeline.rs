@@ -26,6 +26,8 @@ use emd_core::local::LocalEmd;
 use emd_core::{Globalizer, GlobalizerConfig};
 use emd_synth::longhorizon::gen_churn_stream;
 use emd_synth::noise::NoiseConfig;
+use emd_text::token::Sentence;
+use emd_trace::TraceSink;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -81,10 +83,25 @@ struct BenchReport {
     tracing: TracingStat,
 }
 
+/// One pass over the stream: `process_batch` per batch, then `finalize`,
+/// draining `sink` (if any) after each so its ring never holds more than
+/// one call's events. Returns the number of events drained.
+fn pass(g: &Globalizer, slice: &[Sentence], batch: usize, sink: Option<&TraceSink>) -> u64 {
+    let drain = || sink.map_or(0, |s| s.drain().len() as u64);
+    let mut state = g.new_state();
+    let mut drained = 0;
+    for chunk in slice.chunks(batch.max(1)) {
+        g.process_batch(&mut state, chunk);
+        drained += drain();
+    }
+    black_box(g.finalize(&mut state));
+    drained + drain()
+}
+
 /// Run the chunker variant instrumented (metrics + trace) and assemble
 /// the JSON report. Uses the cheap deterministic chunker so the report
 /// pass costs the same per sentence in smoke and full mode.
-fn emit_report(slice: &[emd_text::token::Sentence], batch: usize, smoke: bool, window: usize) {
+fn emit_report(slice: &[Sentence], batch: usize, smoke: bool, window: usize) {
     let (chunker, accept_all) = chunker_variant();
     let config = || GlobalizerConfig {
         window: if window > 0 {
@@ -135,43 +152,49 @@ fn emit_report(slice: &[emd_text::token::Sentence], batch: usize, smoke: bool, w
         })
         .collect();
 
-    // Tracing overhead: identical runs with the event ring off and on.
+    // Tracing overhead: identical passes with the event ring off and on.
     // Both arms get one untimed warm-up pass, and the timed passes are
     // interleaved off/on — measuring all off passes first let the off arm
     // absorb every one-time cost (allocator growth, lazy init, cache
     // fill) and reported a nonsensical *negative* overhead. Best-of-N
     // per arm keeps a single scheduler hiccup from skewing the ratio.
+    // The traced arm drains its sink as it goes and must drop nothing:
+    // an overflowing ring would time the cheap drop path instead of
+    // tracing, and count only the events that survived.
     let passes: usize = if smoke { 5 } else { 3 };
     let g_off = Globalizer::new(&chunker, None, &accept_all, config());
-    let sink = emd_trace::TraceSink::with_capacity(1 << 18);
+    let sink = TraceSink::with_capacity(1 << 18);
     let mut g_on = Globalizer::new(&chunker, None, &accept_all, config());
     g_on.set_trace(sink.clone());
 
     emd_trace::set_enabled(false);
-    black_box(g_off.run(slice, batch));
+    pass(&g_off, slice, batch, None);
     emd_trace::set_enabled(true);
-    black_box(g_on.run(slice, batch));
+    let events = pass(&g_on, slice, batch, Some(&sink));
 
     let mut off_ns = Vec::with_capacity(passes);
     let mut on_ns = Vec::with_capacity(passes);
     for _ in 0..passes {
         emd_trace::set_enabled(false);
         let t0 = Instant::now();
-        black_box(g_off.run(slice, batch));
+        pass(&g_off, slice, batch, None);
         off_ns.push(t0.elapsed().as_nanos() as u64);
 
         emd_trace::set_enabled(true);
-        let _ = sink.drain();
         let t0 = Instant::now();
-        black_box(g_on.run(slice, batch));
+        let drained = pass(&g_on, slice, batch, Some(&sink));
         on_ns.push(t0.elapsed().as_nanos() as u64);
+        assert_eq!(drained, events, "every traced pass emits the same events");
     }
     emd_trace::set_enabled(false);
+    assert_eq!(
+        sink.dropped_total(),
+        0,
+        "the traced arm overflowed its ring"
+    );
     let run_ns_tracing_off = off_ns.into_iter().min().unwrap();
     let run_ns_tracing_on = on_ns.into_iter().min().unwrap();
 
-    // The warm-up pass was traced too, hence passes + 1.
-    let events = sink.events_total() / (passes as u64 + 1);
     let tracing = TracingStat {
         events,
         dropped: sink.dropped_total(),

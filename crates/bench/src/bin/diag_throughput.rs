@@ -12,8 +12,8 @@
 //! - `DIAG_NO_PRUNE=1`    disable frequency-decay candidate pruning
 //! - `DIAG_NO_PROMO=1`    disable adjacent-pair promotion
 //! - `DIAG_OBS=1`         enable `emd_obs` and print phase histograms
-//!   and per-sentence work counters (adds per-batch store walks —
-//!   inflates evict)
+//!   and per-sentence work counters (adds a per-batch store walk for the
+//!   resident-bytes gauge, outside the evict clock)
 
 use emd_bench::{bench_stream, chunker_variant, SEED};
 use emd_core::config::WindowConfig;

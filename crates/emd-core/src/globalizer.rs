@@ -210,9 +210,12 @@ pub struct GlobalizerState {
     /// bitset: insert, membership and ascending iteration are a word
     /// index and a mask, and it checkpoints to a sorted index list.
     dirty: DirtySet,
-    /// Cumulative per-phase wall-clock spent on this state, accumulated
-    /// unconditionally (one clock read per phase call) and surfaced via
-    /// [`GlobalizerOutput::phase_timings`].
+    /// Cumulative per-phase wall-clock spent on this state, surfaced via
+    /// [`GlobalizerOutput::phase_timings`]. Inclusive: a phase's total
+    /// contains the phases it opens (finalize holds its rescans, settle
+    /// rescans sit inside evict). Each phase call reads one clock pair
+    /// ([`Globalizer::open`]), which also feeds the phase's histogram and
+    /// trace span.
     timings: PhaseTimings,
     /// Dead-letter log: sentences the pipeline gave up on, in
     /// deterministic stream/discovery order.
@@ -242,6 +245,11 @@ pub struct GlobalizerState {
     /// cursor makes each sweep O(batch), not O(history). Rebased by
     /// [`GlobalizerState::compact`].
     evict_cursor: usize,
+    /// What the current `process_batch*`, `finalize*` or `index_stream`
+    /// call has counted so far. Not checkpointed: a supervisor attempt
+    /// that panics drops its clone of the state, counts included.
+    #[serde(skip)]
+    tally: Tally,
     /// 1-based batch counter, advanced on every `process_batch` call
     /// (unconditionally, so traced and untraced runs stay aligned) and
     /// stamped into `BatchStart` trace events.
@@ -262,12 +270,6 @@ impl GlobalizerState {
     /// Number of sentences quarantined so far.
     pub fn n_quarantined(&self) -> usize {
         self.quarantined.len()
-    }
-
-    /// Cumulative per-phase wall-clock timings accumulated on this state
-    /// so far.
-    pub fn timings(&self) -> &PhaseTimings {
-        &self.timings
     }
 
     /// Records evicted from the sentence store so far (0 unless windowing
@@ -402,16 +404,55 @@ struct StagedScan {
     degraded_keys: Vec<String>,
 }
 
-/// Live monitoring attachment: the quality sentinel plus the raw counts
-/// the current batch has accumulated so far. Behind a `Mutex` because
-/// the count hooks fire from `&self` phase methods; every hook runs in a
-/// sequential apply section, so the lock is uncontended in practice. A
-/// lock poisoned by a panicked batch attempt is recovered (the counts
-/// are reset at the next `start_batch` anyway, so a supervisor retry
-/// discards the failed attempt's partial counts).
+/// What one `process_batch*`, `finalize*` or `index_stream` call counts
+/// in its sequential apply sections, in plain integers on the state. Reset
+/// when the call starts and committed once when it ends
+/// ([`Globalizer::commit`]): into the pipeline counters, and into the
+/// sentinel when one is attached.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    /// The sentinel's counts; the pipeline counters that mirror them
+    /// (sentences, local spans, trie inserts, scan mentions, pooled,
+    /// scored, quarantined, evicted, pruned, promotions) are added from
+    /// here too.
+    obs: BatchObservation,
+    /// Records newly dirtied by `mark_dirty`.
+    dirty_marks: u64,
+    /// Posting entries `mark_dirty` walked.
+    dirty_visits: u64,
+    /// Records handed to `scan_records`.
+    scan_records: u64,
+    /// Record scans by the closing rescan.
+    rescan_sentences: u64,
+    /// Closing rescan + promotion rounds.
+    promotion_rounds: u64,
+    /// Window-enforcement compactions that reclaimed slots.
+    compactions: u64,
+    /// The innermost phase whose clock is open: the parent of the next
+    /// phase span.
+    open: Option<TracePhase>,
+}
+
+/// One phase call's clock, from [`Globalizer::open`] to
+/// [`Globalizer::close`].
+struct PhaseClock {
+    phase: TracePhase,
+    /// The phase open around this one: the span's parent, and the open
+    /// phase again once this one closes.
+    parent: Option<TracePhase>,
+    /// Trace seq at open (metrics and tracing both on), tagged onto the
+    /// histogram sample so a latency bucket links to the phase's first
+    /// trace event.
+    exemplar: Option<u64>,
+    t0: Instant,
+}
+
+/// Live monitoring attachment: the quality sentinel, behind a `Mutex`
+/// because it is fed from `&self` methods. A lock poisoned by a panicked
+/// batch attempt is recovered (the sentinel only changes when a call
+/// commits).
 struct MonitorCell {
     sentinel: Sentinel,
-    counts: BatchObservation,
     /// Sentences shed by the admission gate since the last batch started;
     /// folded into the next batch's observation (shed batches never run
     /// `start_batch` themselves).
@@ -481,8 +522,8 @@ pub struct Globalizer<'a> {
     /// [`Globalizer::set_trace`].
     trace: TraceSink,
     /// Attached quality sentinel, if any ([`Globalizer::set_sentinel`]).
-    /// `None` (the default) means no per-batch counting and no clock
-    /// reads on the sentinel's behalf.
+    /// `None` (the default) means no observations and no clock reads on
+    /// the sentinel's behalf.
     monitor: Option<Mutex<MonitorCell>>,
     /// Attached overload guard, if any ([`Globalizer::set_guard`]).
     /// `None` (the default) means every phase always runs — unguarded
@@ -563,7 +604,6 @@ impl<'a> Globalizer<'a> {
     pub fn set_sentinel(&mut self, sentinel: Sentinel) {
         self.monitor = Some(Mutex::new(MonitorCell {
             sentinel,
-            counts: BatchObservation::default(),
             pending_shed: 0,
         }));
     }
@@ -588,11 +628,6 @@ impl<'a> Globalizer<'a> {
             rescan: CircuitBreaker::new(cfg),
             transitions: Vec::new(),
         }));
-    }
-
-    /// Whether an overload guard is attached.
-    pub fn guarded(&self) -> bool {
-        self.guard.is_some()
     }
 
     /// Lock the guard cell, recovering from poisoning (breaker state is
@@ -639,7 +674,7 @@ impl<'a> Globalizer<'a> {
 
     /// Apply `step` to the breakers guarding `phases` under one lock, log
     /// every transition it takes, refresh the open-breaker gauge, and
-    /// emit the transitions once the lock is released.
+    /// count and trace the transitions once the lock is released.
     fn guard_step(
         &self,
         phases: &[TracePhase],
@@ -660,20 +695,13 @@ impl<'a> Globalizer<'a> {
             }
             fired
         };
-        for (p, t) in &fired {
-            self.note_breaker_transition(*p, t);
-        }
-    }
-
-    /// Count (and trace) one breaker state change.
-    fn note_breaker_transition(&self, phase: TracePhase, t: &BreakerTransition) {
-        self.metrics.guard_breaker_transitions_total.inc();
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
+        for (phase, t) in fired {
+            self.metrics.guard_breaker_transitions_total.inc();
+            self.trace_event(|| TraceEvent {
                 batch: Some(t.tick),
                 phase: Some(phase),
                 breaker: Some(trace_breaker(t.to)),
-                reason: Some(t.reason.clone()),
+                reason: Some(t.reason),
                 ..TraceEvent::of(TraceEventKind::BreakerTransition)
             });
         }
@@ -753,93 +781,93 @@ impl<'a> Globalizer<'a> {
             .map(|m| Self::mon_lock(m).sentinel.snapshot())
     }
 
-    /// Lock the monitor cell, recovering from poisoning (a panicked
-    /// batch attempt leaves partial counts; `start_batch` resets them).
+    /// Lock the monitor cell, recovering from poisoning.
     fn mon_lock(m: &Mutex<MonitorCell>) -> std::sync::MutexGuard<'_, MonitorCell> {
         m.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Run `f` over the current batch's raw counts iff a sentinel is
-    /// attached. Count hooks live only in sequential apply sections.
-    fn mon_count(&self, f: impl FnOnce(&mut BatchObservation)) {
-        if let Some(m) = &self.monitor {
-            f(&mut Self::mon_lock(m).counts);
+    /// Commit the call's tally: add it to the pipeline counters, then —
+    /// with a sentinel attached — fold it into the sentinel as one
+    /// observation, mirror the verdict into the `emd_sentinel_*` metrics,
+    /// and emit `DriftDetected` / `SloBurn` / `HealthTransition` trace
+    /// events. `closing` marks the finalize-time observation, which the
+    /// sentinel normalizes by the resident window size rather than a batch
+    /// size; `t0` is the call's start, read only on the sentinel's behalf.
+    /// Reads pipeline state but never writes it — monitoring stays
+    /// passive.
+    fn commit(&self, state: &mut GlobalizerState, t0: Option<Instant>, closing: bool) {
+        let t = std::mem::take(&mut state.tally);
+        let m = &self.metrics;
+        m.sentences_total.add(t.obs.sentences);
+        m.local_spans_total.add(t.obs.local_spans);
+        m.trie_inserts_total.add(t.obs.trie_inserts);
+        m.scan_mentions_total.add(t.obs.scan_mentions);
+        m.pool_embeddings_total.add(t.obs.pooled);
+        m.classify_candidates_total.add(t.obs.scored);
+        m.quarantined_total.add(t.obs.quarantined);
+        m.evicted_records_total.add(t.obs.evicted);
+        m.pruned_candidates_total.add(t.obs.pruned);
+        m.finalize_promotions_total.add(t.obs.promoted);
+        m.dirty_marks_total.add(t.dirty_marks);
+        m.dirty_postings_visited_total.add(t.dirty_visits);
+        m.scan_records_total.add(t.scan_records);
+        m.finalize_rescan_sentences_total.add(t.rescan_sentences);
+        m.finalize_promotion_rounds_total.add(t.promotion_rounds);
+        m.compactions_total.add(t.compactions);
+        let Some(mon) = &self.monitor else { return };
+        let mut counts = t.obs;
+        counts.batch = state.batch_seq;
+        if closing {
+            counts.sentences = state.tweetbase.len().max(1) as u64;
         }
-    }
-
-    /// Fold the batch's accumulated counts into the sentinel, mirror the
-    /// verdict into the `emd_sentinel_*` metrics, and emit
-    /// `DriftDetected` / `HealthTransition` trace events. `closing`
-    /// marks the finalize-time observation, which is normalized by the
-    /// resident window size rather than a batch size. Reads pipeline
-    /// state but never writes it — monitoring stays passive.
-    fn observe_batch(&self, state: &GlobalizerState, t0: Option<Instant>, closing: bool) {
-        let Some(m) = &self.monitor else { return };
+        if let Some(t0) = t0 {
+            counts.latency_ns = elapsed_ns(t0);
+        }
         let observed = {
-            let mut cell = Self::mon_lock(m);
-            let mut counts = std::mem::take(&mut cell.counts);
-            counts.batch = state.batch_seq;
-            if closing {
-                counts.sentences = state.tweetbase.len().max(1) as u64;
-            }
-            if let Some(t0) = t0 {
-                counts.latency_ns = elapsed_ns(t0);
-            }
+            let mut cell = Self::mon_lock(mon);
             let observed = cell.sentinel.observe(&counts);
-            self.metrics
-                .sentinel_health
-                .set(cell.sentinel.health().level() as f64);
+            m.sentinel_health.set(cell.sentinel.health().level() as f64);
             observed
         };
-        self.metrics
-            .sentinel_alerts_total
-            .add(observed.alerts.len() as u64);
-        let tracing = emd_trace::enabled();
+        m.sentinel_alerts_total.add(observed.alerts.len() as u64);
         for a in &observed.alerts {
             if a.kind != AlertKind::Drift {
                 continue;
             }
-            self.metrics.sentinel_drift_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    batch: Some(a.batch),
-                    series: Some(a.series.name().to_string()),
-                    score: Some(a.value as f32),
-                    reason: Some(a.detail.clone()),
-                    ..TraceEvent::of(TraceEventKind::DriftDetected)
-                });
-            }
+            m.sentinel_drift_total.inc();
+            self.trace_event(|| TraceEvent {
+                batch: Some(a.batch),
+                series: Some(a.series.name().to_string()),
+                score: Some(a.value as f32),
+                reason: Some(a.detail.clone()),
+                ..TraceEvent::of(TraceEventKind::DriftDetected)
+            });
         }
         // One SloBurn event per firing (slo, batch) pair — the trace
         // carries the whole burn interval, so `replay_slo` reconstructs
         // exactly when each objective was on fire and how hard.
-        self.metrics
-            .sentinel_slo_burn_total
+        m.sentinel_slo_burn_total
             .add(observed.slo_burns.len() as u64);
-        if tracing {
-            for b in &observed.slo_burns {
-                self.temit(TraceEvent {
-                    batch: Some(b.batch),
-                    series: Some(b.name.clone()),
-                    score: Some(b.burn_fast as f32),
-                    reason: Some(format!(
-                        "burn_slow={:.2} threshold={}",
-                        b.burn_slow, b.threshold
-                    )),
-                    ..TraceEvent::of(TraceEventKind::SloBurn)
-                });
-            }
+        for b in &observed.slo_burns {
+            self.trace_event(|| TraceEvent {
+                batch: Some(b.batch),
+                series: Some(b.name.clone()),
+                score: Some(b.burn_fast as f32),
+                reason: Some(format!(
+                    "burn_slow={:.2} threshold={}",
+                    b.burn_slow, b.threshold
+                )),
+                ..TraceEvent::of(TraceEventKind::SloBurn)
+            });
         }
         if let Some(t) = &observed.transition {
-            self.metrics.sentinel_transitions_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    batch: Some(t.batch),
-                    health: Some(trace_health(t.to)),
-                    reason: Some(t.reason.clone()),
-                    ..TraceEvent::of(TraceEventKind::HealthTransition)
-                });
-            }
+            m.sentinel_transitions_total.inc();
+            self.trace_event(|| TraceEvent {
+                batch: Some(t.batch),
+                health: Some(trace_health(t.to)),
+                reason: Some(t.reason.clone()),
+                ..TraceEvent::of(TraceEventKind::HealthTransition)
+            });
             // Sense → act: a Critical stream force-opens every breaker,
             // so the next batches take the cheap degraded paths while the
             // storm passes (cooldown + probes decide when to re-engage).
@@ -849,55 +877,68 @@ impl<'a> Globalizer<'a> {
         }
     }
 
-    /// Push one trace event, keeping the `emd_trace_*` meta-counters in
-    /// step. Callers gate on `emd_trace::enabled()` *before* constructing
-    /// the event, so the disabled path allocates nothing.
-    pub(crate) fn temit(&self, ev: TraceEvent) -> Option<u64> {
-        match self.trace.push(ev) {
-            Some(seq) => {
-                self.metrics.trace_events_total.inc();
-                Some(seq)
-            }
-            None => {
-                self.metrics.trace_dropped_events_total.inc();
-                None
-            }
+    /// Emit one trace event: the pipeline's only way into the sink. `event`
+    /// is built only while tracing is on, so the disabled path allocates
+    /// nothing; the push keeps the `emd_trace_*` meta-counters in step.
+    /// Returns the event's seq, or `None` when tracing is off or the ring
+    /// dropped it.
+    pub(crate) fn trace_event(&self, event: impl FnOnce() -> TraceEvent) -> Option<u64> {
+        if !emd_trace::enabled() {
+            return None;
+        }
+        let seq = self.trace.push(event());
+        match seq {
+            Some(_) => self.metrics.trace_events_total.inc(),
+            None => self.metrics.trace_dropped_events_total.inc(),
+        }
+        seq
+    }
+
+    /// Open `phase`'s clock: the one clock read for the call. The phase
+    /// open around it becomes the span's parent.
+    fn open(&self, state: &mut GlobalizerState, phase: TracePhase) -> PhaseClock {
+        PhaseClock {
+            phase,
+            parent: state.tally.open.replace(phase),
+            exemplar: (emd_obs::enabled() && emd_trace::enabled()).then(|| self.trace.next_seq()),
+            t0: Instant::now(),
         }
     }
 
-    /// An RAII span over a phase histogram, tagged — when tracing is on —
-    /// with the ring's next sequence number as the bucket's exemplar. The
-    /// first event the phase emits gets that seq, so a latency bucket in
-    /// the Prometheus export links straight to the trace events of a run
-    /// that landed in it. Costs one relaxed load when tracing is off and
-    /// nothing at all in noop metrics mode.
-    fn phase_timer(&self, hist: &emd_obs::Histogram) -> Timer {
-        Timer::start_tagged(hist, || emd_trace::enabled().then(|| self.trace.next_seq()))
-    }
-
-    /// Record a completed phase in the trace, reusing the wall-clock delta
-    /// the timings bookkeeping already measured — tracing adds no clock
-    /// read of its own, and none at all while disabled.
-    fn trace_phase_span(&self, phase: TracePhase, parent: Option<TracePhase>, dur_ns: u64) {
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                phase: Some(phase),
-                parent,
-                dur_ns: Some(dur_ns),
-                system: (phase == TracePhase::LocalInfer).then(|| self.local.name().to_string()),
+    /// Close a phase clock and feed its one measurement to every sink the
+    /// phase has: its `PhaseTimings` field and `PhaseSpan` (all but trie
+    /// registration), and its histogram (all but promotion and emit).
+    fn close(&self, state: &mut GlobalizerState, clock: PhaseClock) {
+        let ns = elapsed_ns(clock.t0);
+        state.tally.open = clock.parent;
+        let (t, m) = (&mut state.timings, &self.metrics);
+        let (total, hist) = match clock.phase {
+            TracePhase::LocalInfer => (Some(&mut t.local_infer_ns), Some(&m.local_infer_ns)),
+            TracePhase::Ingest => (Some(&mut t.ingest_ns), Some(&m.ingest_ns)),
+            TracePhase::TrieRegister => (None, Some(&m.trie_register_ns)),
+            TracePhase::Scan | TracePhase::FinalizeRescan => {
+                (Some(&mut t.scan_ns), Some(&m.scan_ns))
+            }
+            TracePhase::Pool => (Some(&mut t.pool_ns), Some(&m.pool_ns)),
+            TracePhase::Classify => (Some(&mut t.classify_ns), Some(&m.classify_ns)),
+            TracePhase::Promotion => (Some(&mut t.promotion_ns), None),
+            TracePhase::Emit => (Some(&mut t.emit_ns), None),
+            TracePhase::Finalize => (Some(&mut t.finalize_ns), Some(&m.finalize_ns)),
+            TracePhase::Evict => (Some(&mut t.evict_ns), Some(&m.evict_ns)),
+            TracePhase::Supervisor => (None, None),
+        };
+        if let Some(h) = hist {
+            h.record_with_exemplar(ns, clock.exemplar);
+        }
+        if let Some(total) = total {
+            *total += ns;
+            self.trace_event(|| TraceEvent {
+                phase: Some(clock.phase),
+                parent: clock.parent,
+                dur_ns: Some(ns),
+                system: (clock.phase == TracePhase::LocalInfer)
+                    .then(|| self.local.name().to_string()),
                 ..TraceEvent::of(TraceEventKind::PhaseSpan)
-            });
-        }
-    }
-
-    /// Count (and trace) one panicked worker shard whose work was re-run
-    /// on the caller thread.
-    fn note_shard_retry(&self, phase: TracePhase) {
-        self.metrics.shard_retries_total.inc();
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                phase: Some(phase),
-                ..TraceEvent::of(TraceEventKind::ShardRetry)
             });
         }
     }
@@ -934,6 +975,7 @@ impl<'a> Globalizer<'a> {
             frozen_adjacency: Vec::new(),
             frozen_index: HashMap::new(),
             evict_cursor: 0,
+            tally: Tally::default(),
             batch_seq: 0,
             trace_seq: 0,
         }
@@ -947,12 +989,10 @@ impl<'a> Globalizer<'a> {
         let failed = r.failed_attempts;
         if failed > 0 {
             self.metrics.item_retries_total.add(failed as u64);
-            if emd_trace::enabled() {
-                self.temit(TraceEvent {
-                    count: Some(failed as u64),
-                    ..TraceEvent::of(TraceEventKind::ItemRetry)
-                });
-            }
+            self.trace_event(|| TraceEvent {
+                count: Some(failed as u64),
+                ..TraceEvent::of(TraceEventKind::ItemRetry)
+            });
         }
         r.result
     }
@@ -968,18 +1008,13 @@ impl<'a> Globalizer<'a> {
         phase: PipelinePhase,
         reason: String,
     ) {
-        self.metrics.quarantined_total.inc();
-        self.mon_count(|c| c.quarantined += 1);
-        let trace_event = if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                sid: Some(tsid(sid)),
-                phase: Some(trace_phase(phase)),
-                reason: Some(reason.clone()),
-                ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
-            })
-        } else {
-            None
-        };
+        state.tally.obs.quarantined += 1;
+        let trace_event = self.trace_event(|| TraceEvent {
+            sid: Some(tsid(sid)),
+            phase: Some(trace_phase(phase)),
+            reason: Some(reason.clone()),
+            ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
+        });
         state.quarantined_ids.insert(sid);
         state.quarantined.push(QuarantineEntry {
             sid,
@@ -1019,21 +1054,15 @@ impl<'a> Globalizer<'a> {
     /// candidates and store TweetBase records sequentially in stream
     /// order, so results do not depend on the thread count.
     fn local_phase(&self, state: &mut GlobalizerState, batch: &[Sentence], n_threads: usize) {
-        let t0 = Instant::now();
-        let outputs = {
-            let _span = self.phase_timer(&self.metrics.local_infer_ns);
-            self.fan_out(
-                batch,
-                n_threads,
-                TracePhase::LocalInfer,
-                "local_shard",
-                |part| part.iter().map(|s| self.local_attempt(s)).collect(),
-            )
-        };
-        let dt = elapsed_ns(t0);
-        state.timings.local_infer_ns += dt;
-        self.trace_phase_span(TracePhase::LocalInfer, None, dt);
-        self.metrics.sentences_total.add(batch.len() as u64);
+        let clock = self.open(state, TracePhase::LocalInfer);
+        let outputs = self.fan_out(
+            batch,
+            n_threads,
+            TracePhase::LocalInfer,
+            "local_shard",
+            |part| part.iter().map(|s| self.local_attempt(s)).collect(),
+        );
+        self.close(state, clock);
         self.ingest_local_outputs(state, batch, outputs);
     }
 
@@ -1044,9 +1073,10 @@ impl<'a> Globalizer<'a> {
     /// shard runs on a scoped thread behind the `shard_fp` fail point, and
     /// every shard is joined before any failure is acted on — a panicked
     /// shard must not leak the surviving worker threads. A panicked
-    /// shard's items are then re-run on the caller thread, in order, so
-    /// one poisoned shard degrades to sequential work instead of aborting
-    /// the batch.
+    /// shard's items are then re-run on the caller thread, in order (and
+    /// the retry counted and traced as a `ShardRetry` of `phase`), so one
+    /// poisoned shard degrades to sequential work instead of aborting the
+    /// batch.
     fn fan_out<T: Sync, R: Send>(
         &self,
         items: &[T],
@@ -1078,7 +1108,11 @@ impl<'a> Globalizer<'a> {
             match slot {
                 Some(v) => results.extend(v),
                 None => {
-                    self.note_shard_retry(phase);
+                    self.metrics.shard_retries_total.inc();
+                    self.trace_event(|| TraceEvent {
+                        phase: Some(phase),
+                        ..TraceEvent::of(TraceEventKind::ShardRetry)
+                    });
                     results.extend(work(part));
                 }
             }
@@ -1137,8 +1171,7 @@ impl<'a> Globalizer<'a> {
         batch: &[Sentence],
         outputs: Vec<Result<crate::local::LocalEmdOutput, String>>,
     ) {
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.ingest_ns);
+        let clock = self.open(state, TracePhase::Ingest);
         // Stage (fallible, isolated, read-only) per sentence.
         let staged: Vec<Result<crate::local::LocalEmdOutput, (PipelinePhase, String)>> = batch
             .iter()
@@ -1151,8 +1184,6 @@ impl<'a> Globalizer<'a> {
             })
             .collect();
         // Apply (infallible): store records, register candidates, dirty.
-        let tracing = emd_trace::enabled();
-        let mut n_local_spans = 0u64;
         let mut kept: Vec<Option<Vec<Span>>> = Vec::with_capacity(batch.len());
         for (sentence, st) in batch.iter().zip(staged) {
             match st {
@@ -1175,35 +1206,31 @@ impl<'a> Globalizer<'a> {
                         kept.push(None);
                         continue;
                     }
-                    n_local_spans += out.spans.len() as u64;
+                    state.tally.obs.local_spans += out.spans.len() as u64;
                     let idx = state.tweetbase.insert(TweetRecord::new(
                         sentence.clone(),
                         out.token_embeddings,
                         out.spans.clone(),
                     ));
                     state.dirty.insert(idx);
-                    if tracing {
-                        self.temit(TraceEvent {
+                    self.trace_event(|| TraceEvent {
+                        sid: Some(tsid(sentence.id)),
+                        count: Some(out.spans.len() as u64),
+                        ..TraceEvent::of(TraceEventKind::SentenceAdmitted)
+                    });
+                    for sp in &out.spans {
+                        self.trace_event(|| TraceEvent {
                             sid: Some(tsid(sentence.id)),
-                            count: Some(out.spans.len() as u64),
-                            ..TraceEvent::of(TraceEventKind::SentenceAdmitted)
+                            span: Some(tspan(sp)),
+                            system: Some(self.local.name().to_string()),
+                            ..TraceEvent::of(TraceEventKind::LocalDetect)
                         });
-                        for sp in &out.spans {
-                            self.temit(TraceEvent {
-                                sid: Some(tsid(sentence.id)),
-                                span: Some(tspan(sp)),
-                                system: Some(self.local.name().to_string()),
-                                ..TraceEvent::of(TraceEventKind::LocalDetect)
-                            });
-                        }
                     }
                     kept.push(Some(out.spans));
                 }
             }
         }
-        let trie_span = self.phase_timer(&self.metrics.trie_register_ns);
-        let mut n_inserted = 0u64;
-        let (mut n_marks, mut n_visits) = (0u64, 0u64);
+        let trie = self.open(state, TracePhase::TrieRegister);
         for (sentence, spans) in batch.iter().zip(&kept) {
             let Some(spans) = spans else { continue };
             for sp in spans {
@@ -1212,35 +1239,21 @@ impl<'a> Globalizer<'a> {
                         .map(|i| sentence.tokens[i].text.as_str())
                         .collect();
                     if state.ctrie.insert(state.tweetbase.interner_mut(), &toks) {
-                        n_inserted += 1;
-                        if tracing {
-                            self.temit(TraceEvent {
-                                sid: Some(tsid(sentence.id)),
-                                span: Some(tspan(sp)),
-                                candidate: Some(toks.join(" ").to_lowercase()),
-                                phase: Some(TracePhase::TrieRegister),
-                                ..TraceEvent::of(TraceEventKind::TrieInsert)
-                            });
-                        }
-                        let (marks, visits) = Self::mark_dirty(state, &toks);
-                        n_marks += marks;
-                        n_visits += visits;
+                        state.tally.obs.trie_inserts += 1;
+                        self.trace_event(|| TraceEvent {
+                            sid: Some(tsid(sentence.id)),
+                            span: Some(tspan(sp)),
+                            candidate: Some(toks.join(" ").to_lowercase()),
+                            phase: Some(TracePhase::TrieRegister),
+                            ..TraceEvent::of(TraceEventKind::TrieInsert)
+                        });
+                        Self::mark_dirty(state, &toks);
                     }
                 }
             }
         }
-        drop(trie_span);
-        self.metrics.local_spans_total.add(n_local_spans);
-        self.metrics.trie_inserts_total.add(n_inserted);
-        self.metrics.dirty_marks_total.add(n_marks);
-        self.metrics.dirty_postings_visited_total.add(n_visits);
-        self.mon_count(|c| {
-            c.local_spans += n_local_spans;
-            c.trie_inserts += n_inserted;
-        });
-        let dt = elapsed_ns(t0);
-        state.timings.ingest_ns += dt;
-        self.trace_phase_span(TracePhase::Ingest, None, dt);
+        self.close(state, trie);
+        self.close(state, clock);
     }
 
     /// Mark every stored sentence that contains the newly registered
@@ -1257,16 +1270,16 @@ impl<'a> Globalizer<'a> {
     /// the run; a one-token phrase needs no run check, since posting
     /// membership already proves it. Records already dirty or quarantined
     /// are skipped. A token unknown to the interner occurs in no stored
-    /// sentence, so there is nothing to dirty. Returns `(records newly
-    /// dirtied, entries of the walked list)`.
-    fn mark_dirty<S: AsRef<str>>(state: &mut GlobalizerState, phrase: &[S]) -> (u64, u64) {
+    /// sentence, so there is nothing to dirty. Tallies the records newly
+    /// dirtied and the entries of the walked list.
+    fn mark_dirty<S: AsRef<str>>(state: &mut GlobalizerState, phrase: &[S]) {
         let tweetbase = &state.tweetbase;
         let Some(syms) = phrase
             .iter()
             .map(|t| tweetbase.interner().lookup_folded(t.as_ref()))
             .collect::<Option<Vec<Sym>>>()
         else {
-            return (0, 0);
+            return;
         };
         let mut distinct = syms.clone();
         distinct.sort_unstable();
@@ -1277,10 +1290,9 @@ impl<'a> Globalizer<'a> {
             .collect();
         lists.sort_by_key(|list| list.len());
         let Some((walk, rest)) = lists.split_first() else {
-            return (0, 0);
+            return;
         };
         let mut cursors = vec![0usize; rest.len()];
-        let mut marks = 0u64;
         'visit: for &i in *walk {
             if state.dirty.contains(i) || state.quarantined_idx.contains(&i) {
                 continue;
@@ -1301,9 +1313,9 @@ impl<'a> Globalizer<'a> {
                 continue;
             }
             state.dirty.insert(i);
-            marks += 1;
+            state.tally.dirty_marks += 1;
         }
-        (marks, walk.len() as u64)
+        state.tally.dirty_visits += walk.len() as u64;
     }
 
     /// Mention extraction + embedding staging for one record (read-only; a
@@ -1420,13 +1432,9 @@ impl<'a> Globalizer<'a> {
             _ => "scan",
         };
         let tphase = trace_phase(phase);
-        // Finalize-time scans nest under the finalize frame in the flame
-        // view; batch-time scans are top-level.
-        let tparent = (phase == PipelinePhase::FinalizeRescan).then_some(TracePhase::Finalize);
-        self.metrics.scan_records_total.add(indices.len() as u64);
-        let t_scan = Instant::now();
+        state.tally.scan_records += indices.len() as u64;
+        let clock = self.open(state, tphase);
         let results: Vec<(usize, Result<StagedScan, String>)> = {
-            let _span = self.phase_timer(&self.metrics.scan_ns);
             let tweetbase = &state.tweetbase;
             let ctrie = &state.ctrie;
             self.fan_out(indices, n_threads, tphase, "scan_shard", |part| {
@@ -1437,29 +1445,20 @@ impl<'a> Globalizer<'a> {
                     .collect()
             })
         };
-        let dt_scan = elapsed_ns(t_scan);
-        state.timings.scan_ns += dt_scan;
-        self.trace_phase_span(tphase, tparent, dt_scan);
-        let tracing = emd_trace::enabled();
-        let t_pool = Instant::now();
-        let _pool_span = self.phase_timer(&self.metrics.pool_ns);
-        let mut n_mentions = 0u64;
-        let mut n_pooled = 0u64;
-        let mut n_scan_degraded = 0u64;
-        let mut n_scan_quarantined = 0u64;
+        self.close(state, clock);
+        let clock = self.open(state, TracePhase::Pool);
+        let (degraded0, quarantined0) = (state.tally.obs.degraded, state.tally.obs.quarantined);
         for (idx, outcome) in results {
             match outcome {
                 Ok(st) => {
-                    n_mentions += st.mentions.len() as u64;
-                    n_scan_degraded += st.degraded_keys.len() as u64;
-                    if tracing {
-                        self.temit(TraceEvent {
-                            sid: Some(tsid(state.tweetbase.get_by_index(idx).sentence.id)),
-                            count: Some(st.mentions.len() as u64),
-                            phase: Some(tphase),
-                            ..TraceEvent::of(TraceEventKind::ScanRecord)
-                        });
-                    }
+                    state.tally.obs.scan_mentions += st.mentions.len() as u64;
+                    state.tally.obs.degraded += st.degraded_keys.len() as u64;
+                    self.trace_event(|| TraceEvent {
+                        sid: Some(tsid(state.tweetbase.get_by_index(idx).sentence.id)),
+                        count: Some(st.mentions.len() as u64),
+                        phase: Some(tphase),
+                        ..TraceEvent::of(TraceEventKind::ScanRecord)
+                    });
                     state.tweetbase.get_mut_by_index(idx).global_mentions = st.mentions;
                     state.dirty.remove(idx);
                     for (key, mref, emb) in st.staged {
@@ -1467,32 +1466,26 @@ impl<'a> Globalizer<'a> {
                         let pooled = rec.try_add_mention(mref);
                         if pooled {
                             rec.add_embedding(&emb);
-                            n_pooled += 1;
+                            state.tally.obs.pooled += 1;
                         }
-                        if tracing {
-                            self.temit(TraceEvent {
-                                sid: Some(tsid(mref.sid)),
-                                span: Some(tspan(&mref.span)),
-                                candidate: Some(key),
-                                pooled: Some(pooled),
-                                local_hit: Some(mref.locally_detected),
-                                phase: Some(tphase),
-                                ..TraceEvent::of(TraceEventKind::ScanMention)
-                            });
-                        }
+                        self.trace_event(|| TraceEvent {
+                            sid: Some(tsid(mref.sid)),
+                            span: Some(tspan(&mref.span)),
+                            candidate: Some(key),
+                            pooled: Some(pooled),
+                            local_hit: Some(mref.locally_detected),
+                            phase: Some(tphase),
+                            ..TraceEvent::of(TraceEventKind::ScanMention)
+                        });
                     }
                     for key in st.degraded_keys {
                         state.candidates.entry(&key).degraded = true;
-                        if tracing {
-                            self.temit(TraceEvent {
-                                candidate: Some(key),
-                                phase: Some(tphase),
-                                reason: Some(
-                                    "phrase embedding failed; zero vector pooled".to_string(),
-                                ),
-                                ..TraceEvent::of(TraceEventKind::CandidateDegraded)
-                            });
-                        }
+                        self.trace_event(|| TraceEvent {
+                            candidate: Some(key),
+                            phase: Some(tphase),
+                            reason: Some("phrase embedding failed; zero vector pooled".to_string()),
+                            ..TraceEvent::of(TraceEventKind::CandidateDegraded)
+                        });
                     }
                 }
                 Err(reason) => {
@@ -1500,35 +1493,25 @@ impl<'a> Globalizer<'a> {
                     self.quarantine_sentence(state, sid, phase, reason);
                     state.quarantined_idx.insert(idx);
                     state.dirty.remove(idx);
-                    n_scan_quarantined += 1;
                     // Drop stale evidence: a quarantined record's old
                     // mentions must not feed promotions or emission.
                     state.tweetbase.get_mut_by_index(idx).global_mentions = Vec::new();
                 }
             }
         }
-        self.metrics.scan_mentions_total.add(n_mentions);
-        self.metrics.pool_embeddings_total.add(n_pooled);
-        self.mon_count(|c| {
-            c.scan_mentions += n_mentions;
-            c.pooled += n_pooled;
-            c.degraded += n_scan_degraded;
-        });
         self.guard_record(
             TracePhase::Pool,
-            n_scan_degraded == 0,
+            state.tally.obs.degraded == degraded0,
             "phrase embedding failed persistently",
         );
         if phase == PipelinePhase::FinalizeRescan {
             self.guard_record(
                 TracePhase::FinalizeRescan,
-                n_scan_quarantined == 0,
+                state.tally.obs.quarantined == quarantined0,
                 "record rescan failed persistently",
             );
         }
-        let dt_pool = elapsed_ns(t_pool);
-        state.timings.pool_ns += dt_pool;
-        self.trace_phase_span(TracePhase::Pool, tparent, dt_pool);
+        self.close(state, clock);
     }
 
     /// Score candidates. Confident verdicts (α/β) freeze; ambiguous ones
@@ -1553,8 +1536,7 @@ impl<'a> Globalizer<'a> {
         resolve_ambiguous: bool,
         n_threads: usize,
     ) {
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.classify_ns);
+        let clock = self.open(state, TracePhase::Classify);
         // Breaker Open: skip scoring outright and give every unfrozen
         // candidate the end state a persistent classifier failure would
         // have produced — degraded, emission falling back to the local
@@ -1597,32 +1579,25 @@ impl<'a> Globalizer<'a> {
             )
         };
         // Phase 2 (sequential): apply labels in discovery order.
-        let tracing = emd_trace::enabled();
-        let mut n_scored = 0u64;
-        let mut n_accepted = 0u64;
-        let mut n_rejected = 0u64;
-        let mut n_ambiguous = 0u64;
-        let mut n_cls_degraded = 0u64;
-        let mut score_sum = 0.0f64;
+        let tally = &mut state.tally.obs;
+        let degraded0 = tally.degraded;
         for (rec, p) in state.candidates.iter_mut().zip(scores) {
             let Some(p) = p else { continue };
             let p = match p {
                 Ok(p) => p,
                 Err(reason) => {
                     rec.degraded = true;
-                    n_cls_degraded += 1;
-                    if tracing {
-                        self.temit(TraceEvent {
-                            candidate: Some(rec.key.clone()),
-                            phase: Some(TracePhase::Classify),
-                            reason: Some(reason),
-                            ..TraceEvent::of(TraceEventKind::CandidateDegraded)
-                        });
-                    }
+                    tally.degraded += 1;
+                    self.trace_event(|| TraceEvent {
+                        candidate: Some(rec.key.clone()),
+                        phase: Some(TracePhase::Classify),
+                        reason: Some(reason),
+                        ..TraceEvent::of(TraceEventKind::CandidateDegraded)
+                    });
                     continue;
                 }
             };
-            n_scored += 1;
+            tally.scored += 1;
             rec.score = Some(p);
             rec.label = EntityClassifier::classify(p, &self.config);
             if resolve_ambiguous && rec.label == CandidateLabel::Ambiguous {
@@ -1637,44 +1612,27 @@ impl<'a> Globalizer<'a> {
                     CandidateLabel::NonEntity
                 };
             }
-            score_sum += p as f64;
+            tally.score_sum += p as f64;
             match rec.label {
-                CandidateLabel::Entity => n_accepted += 1,
-                CandidateLabel::NonEntity => n_rejected += 1,
-                _ => n_ambiguous += 1,
+                CandidateLabel::Entity => tally.accepted += 1,
+                CandidateLabel::NonEntity => tally.rejected += 1,
+                _ => tally.ambiguous += 1,
             }
-            if tracing {
-                self.temit(TraceEvent {
-                    candidate: Some(rec.key.clone()),
-                    score: Some(p),
-                    label: Some(trace_label(rec.label)),
-                    final_verdict: Some(resolve_ambiguous),
-                    phase: Some(TracePhase::Classify),
-                    ..TraceEvent::of(TraceEventKind::Verdict)
-                });
-            }
+            self.trace_event(|| TraceEvent {
+                candidate: Some(rec.key.clone()),
+                score: Some(p),
+                label: Some(trace_label(rec.label)),
+                final_verdict: Some(resolve_ambiguous),
+                phase: Some(TracePhase::Classify),
+                ..TraceEvent::of(TraceEventKind::Verdict)
+            });
         }
-        self.metrics.classify_candidates_total.add(n_scored);
-        self.mon_count(|c| {
-            c.scored += n_scored;
-            c.accepted += n_accepted;
-            c.rejected += n_rejected;
-            c.ambiguous += n_ambiguous;
-            c.score_sum += score_sum;
-            c.degraded += n_cls_degraded;
-        });
         self.guard_record(
             TracePhase::Classify,
-            n_cls_degraded == 0,
+            tally.degraded == degraded0,
             "candidate scoring failed persistently",
         );
-        let dt = elapsed_ns(t0);
-        state.timings.classify_ns += dt;
-        self.trace_phase_span(
-            TracePhase::Classify,
-            resolve_ambiguous.then_some(TracePhase::Finalize),
-            dt,
-        );
+        self.close(state, clock);
     }
 
     /// Consume one batch of the stream: Local EMD, candidate registration,
@@ -1700,35 +1658,34 @@ impl<'a> Globalizer<'a> {
         self.local_phase(state, batch, n_threads);
         self.global_stage(state, batch);
         self.enforce_window(state);
-        self.observe_batch(state, t0, false);
+        self.commit(state, t0, false);
     }
 
     /// Advance the batch counter (always — traced and untraced runs must
-    /// agree on batch IDs) and delimit the batch in the trace.
+    /// agree on batch IDs), start the batch's tally, and delimit the batch
+    /// in the trace.
     fn start_batch(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
         state.batch_seq += 1;
-        // A fresh count frame per batch; this also discards partial
-        // counts left behind by a panicked (supervisor-retried) attempt.
         // Sheds recorded since the last batch ride along (shed batches
-        // never start a frame of their own).
-        if let Some(m) = &self.monitor {
-            let mut cell = Self::mon_lock(m);
-            let shed = std::mem::take(&mut cell.pending_shed);
-            cell.counts = BatchObservation {
-                batch: state.batch_seq,
+        // never start a tally of their own).
+        let shed = self
+            .monitor
+            .as_ref()
+            .map_or(0, |m| std::mem::take(&mut Self::mon_lock(m).pending_shed));
+        state.tally = Tally {
+            obs: BatchObservation {
                 sentences: batch.len() as u64,
                 shed,
                 ..BatchObservation::default()
-            };
-        }
+            },
+            ..Tally::default()
+        };
         self.guard_tick();
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                batch: Some(state.batch_seq),
-                count: Some(batch.len() as u64),
-                ..TraceEvent::of(TraceEventKind::BatchStart)
-            });
-        }
+        self.trace_event(|| TraceEvent {
+            batch: Some(state.batch_seq),
+            count: Some(batch.len() as u64),
+            ..TraceEvent::of(TraceEventKind::BatchStart)
+        });
     }
 
     fn global_stage(&self, state: &mut GlobalizerState, batch: &[Sentence]) {
@@ -1764,8 +1721,7 @@ impl<'a> Globalizer<'a> {
         if !w.enabled() {
             return;
         }
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.evict_ns);
+        let clock = self.open(state, TracePhase::Evict);
         if state.tweetbase.len() > w.max_sentences {
             let excess = state.tweetbase.len() - w.max_sentences;
             // Victims: the oldest live slots, ascending (= stream order).
@@ -1793,55 +1749,45 @@ impl<'a> Globalizer<'a> {
                     .collect();
                 self.scan_records(state, &settle, 1, PipelinePhase::Scan);
             }
-            let tracing = emd_trace::enabled();
-            let mut n_evicted = 0u64;
             for &i in &victims {
                 state.dirty.remove(i);
                 // `quarantined_idx` keeps the index: the slot is never
                 // reused for a live record, and compaction drops it.
                 if let Some(rec) = state.tweetbase.evict(i) {
                     self.freeze_adjacency(state, &rec);
-                    self.metrics.evicted_records_total.inc();
-                    n_evicted += 1;
-                    if tracing {
-                        self.temit(TraceEvent {
-                            sid: Some(tsid(rec.sentence.id)),
-                            count: Some(rec.global_mentions.len() as u64),
-                            phase: Some(TracePhase::Evict),
-                            ..TraceEvent::of(TraceEventKind::SentenceEvicted)
-                        });
-                    }
+                    state.tally.obs.evicted += 1;
+                    self.trace_event(|| TraceEvent {
+                        sid: Some(tsid(rec.sentence.id)),
+                        count: Some(rec.global_mentions.len() as u64),
+                        phase: Some(TracePhase::Evict),
+                        ..TraceEvent::of(TraceEventKind::SentenceEvicted)
+                    });
                 }
             }
-            self.mon_count(|c| c.evicted += n_evicted);
             self.prune_candidates(state, w.prune_max_frequency);
             // Amortized O(1): compacting costs O(live + tombstones) and
             // only runs once tombstones outnumber live records.
             if state.tweetbase.n_slots() - state.tweetbase.len() > state.tweetbase.len() {
                 let dropped = state.compact();
                 if dropped > 0 {
-                    self.metrics.compactions_total.inc();
-                    if tracing {
-                        self.temit(TraceEvent {
-                            count: Some(dropped as u64),
-                            phase: Some(TracePhase::Evict),
-                            ..TraceEvent::of(TraceEventKind::StateCompacted)
-                        });
-                    }
+                    state.tally.compactions += 1;
+                    self.trace_event(|| TraceEvent {
+                        count: Some(dropped as u64),
+                        phase: Some(TracePhase::Evict),
+                        ..TraceEvent::of(TraceEventKind::StateCompacted)
+                    });
                 }
             }
         }
+        self.close(state, clock);
         self.metrics.window_depth.set(state.tweetbase.len() as f64);
         if emd_obs::enabled() {
-            // The byte estimate walks both stores; skip it entirely for
-            // uninstrumented runs.
+            // The byte estimate walks both stores: skip it for
+            // uninstrumented runs, and keep it out of the evict clock.
             self.metrics
                 .resident_bytes
                 .set(state.resident_bytes() as f64);
         }
-        let dt = elapsed_ns(t0);
-        state.timings.evict_ns += dt;
-        self.trace_phase_span(TracePhase::Evict, None, dt);
     }
 
     /// Fold an evicted record's adjacent-pair occurrences into the frozen
@@ -1902,19 +1848,15 @@ impl<'a> Globalizer<'a> {
         if pruned.is_empty() {
             return;
         }
-        self.mon_count(|c| c.pruned += pruned.len() as u64);
-        let tracing = emd_trace::enabled();
+        state.tally.obs.pruned += pruned.len() as u64;
         for rec in &pruned {
             state.ctrie.remove(state.tweetbase.interner(), &rec.tokens);
-            self.metrics.pruned_candidates_total.inc();
-            if tracing {
-                self.temit(TraceEvent {
-                    candidate: Some(rec.key.clone()),
-                    count: Some(rec.frequency() as u64),
-                    phase: Some(TracePhase::Evict),
-                    ..TraceEvent::of(TraceEventKind::CandidatePruned)
-                });
-            }
+            self.trace_event(|| TraceEvent {
+                candidate: Some(rec.key.clone()),
+                count: Some(rec.frequency() as u64),
+                phase: Some(TracePhase::Evict),
+                ..TraceEvent::of(TraceEventKind::CandidatePruned)
+            });
         }
     }
 
@@ -1980,7 +1922,8 @@ impl<'a> Globalizer<'a> {
 
     /// Closing rescan + promotion fixpoint: each round rescans the records
     /// `rescan` selects, then registers the adjacent-pair promotions found.
-    /// Returns `(n_rescanned, n_promoted)`.
+    /// Returns `(record scans, promotions)`; a record rescanned in two
+    /// rounds counts twice there, but once in the coverage gauge.
     fn close_stream(
         &self,
         state: &mut GlobalizerState,
@@ -1992,10 +1935,10 @@ impl<'a> Globalizer<'a> {
         }
         let mut n_rescanned = 0;
         let mut n_promoted = 0;
-        let (mut n_marks, mut n_visits) = (0u64, 0u64);
+        let mut rescanned = DirtySet::new();
         self.metrics.dirty_depth.set(state.dirty.len() as f64);
         loop {
-            self.metrics.finalize_promotion_rounds_total.inc();
+            state.tally.promotion_rounds += 1;
             let round: Vec<usize> = match rescan {
                 Rescan::Dirty => state.dirty.take_sorted(),
                 Rescan::All => {
@@ -2009,43 +1952,33 @@ impl<'a> Globalizer<'a> {
                 }
             };
             n_rescanned += round.len();
+            for &i in &round {
+                rescanned.insert(i);
+            }
             self.scan_records(state, &round, n_threads, PipelinePhase::FinalizeRescan);
-            let t_promo = Instant::now();
+            let clock = self.open(state, TracePhase::Promotion);
             let promotions = self.find_promotions(state);
-            let dt_promo = elapsed_ns(t_promo);
-            state.timings.promotion_ns += dt_promo;
-            self.trace_phase_span(TracePhase::Promotion, Some(TracePhase::Finalize), dt_promo);
+            self.close(state, clock);
             if promotions.is_empty() {
                 break;
             }
             for tokens in promotions {
                 if state.ctrie.insert(state.tweetbase.interner_mut(), &tokens) {
                     n_promoted += 1;
-                    if emd_trace::enabled() {
-                        self.temit(TraceEvent {
-                            candidate: Some(tokens.join(" ")),
-                            phase: Some(TracePhase::Promotion),
-                            ..TraceEvent::of(TraceEventKind::Promotion)
-                        });
-                    }
-                    let (marks, visits) = Self::mark_dirty(state, &tokens);
-                    n_marks += marks;
-                    n_visits += visits;
+                    self.trace_event(|| TraceEvent {
+                        candidate: Some(tokens.join(" ")),
+                        phase: Some(TracePhase::Promotion),
+                        ..TraceEvent::of(TraceEventKind::Promotion)
+                    });
+                    Self::mark_dirty(state, &tokens);
                 }
             }
         }
-        self.metrics.dirty_marks_total.add(n_marks);
-        self.metrics.dirty_postings_visited_total.add(n_visits);
-        self.metrics
-            .finalize_rescan_sentences_total
-            .add(n_rescanned as u64);
-        self.metrics
-            .finalize_promotions_total
-            .add(n_promoted as u64);
+        state.tally.rescan_sentences += n_rescanned as u64;
+        state.tally.obs.promoted += n_promoted as u64;
         self.metrics
             .rescan_coverage
-            .set(n_rescanned as f64 / state.tweetbase.len().max(1) as f64);
-        self.mon_count(|c| c.promoted += n_promoted as u64);
+            .set(rescanned.len() as f64 / state.tweetbase.len().max(1) as f64);
         (n_rescanned, n_promoted)
     }
 
@@ -2055,13 +1988,11 @@ impl<'a> Globalizer<'a> {
         n_rescanned: usize,
         n_promoted: usize,
     ) -> GlobalizerOutput {
-        if emd_trace::enabled() {
-            self.temit(TraceEvent {
-                ablation: Some(trace_ablation(self.config.ablation)),
-                count: Some(state.tweetbase.len() as u64),
-                ..TraceEvent::of(TraceEventKind::EmitStart)
-            });
-        }
+        self.trace_event(|| TraceEvent {
+            ablation: Some(trace_ablation(self.config.ablation)),
+            count: Some(state.tweetbase.len() as u64),
+            ..TraceEvent::of(TraceEventKind::EmitStart)
+        });
         let mut per_sentence = Vec::with_capacity(state.tweetbase.len());
         for (idx, rec) in state.tweetbase.iter_indexed() {
             if state.quarantined_idx.contains(&idx) {
@@ -2158,9 +2089,9 @@ impl<'a> Globalizer<'a> {
         n_threads: usize,
         rescan: Rescan,
     ) -> GlobalizerOutput {
-        let t0m = self.monitor.is_some().then(Instant::now);
-        let t0 = Instant::now();
-        let _span = self.phase_timer(&self.metrics.finalize_ns);
+        let t0 = self.monitor.is_some().then(Instant::now);
+        state.tally = Tally::default();
+        let clock = self.open(state, TracePhase::Finalize);
         // The closing pass counts as one breaker tick: a served cooldown
         // lets finalize probe a phase that was Open at the last batch.
         self.guard_tick();
@@ -2168,16 +2099,12 @@ impl<'a> Globalizer<'a> {
         if self.config.ablation == Ablation::Full {
             self.classify_candidates(state, true, n_threads);
         }
-        let t_emit = Instant::now();
+        let emit = self.open(state, TracePhase::Emit);
         let mut out = self.emit(state, n_rescanned, n_promoted);
-        let dt_emit = elapsed_ns(t_emit);
-        state.timings.emit_ns += dt_emit;
-        self.trace_phase_span(TracePhase::Emit, Some(TracePhase::Finalize), dt_emit);
-        let dt_total = elapsed_ns(t0);
-        state.timings.finalize_ns += dt_total;
-        self.trace_phase_span(TracePhase::Finalize, None, dt_total);
+        self.close(state, emit);
+        self.close(state, clock);
         out.phase_timings = state.timings.clone();
-        self.observe_batch(state, t0m, true);
+        self.commit(state, t0, true);
         out
     }
 
@@ -2231,7 +2158,9 @@ pub fn index_stream(
     // Closing rescan (candidates discovered late may have mentions in
     // earlier sentences) + promotion, shared with `finalize`, minus the
     // classification stage.
+    state.tally = Tally::default();
     g.close_stream(&mut state, threads, Rescan::Dirty);
+    g.commit(&mut state, None, true);
     state
 }
 
@@ -2815,6 +2744,38 @@ mod tests {
         let promoted = state.candidates.get("moross lumsa").unwrap();
         assert_eq!(promoted.frequency(), 3);
         assert_eq!(promoted.n_pooled(), 3);
+    }
+
+    /// The coverage gauge counts each rescanned record once. The oracle
+    /// rescans all three records in each of its two rounds (one
+    /// promotion): six scans, full coverage.
+    #[test]
+    fn rescan_coverage_counts_distinct_records() {
+        let local = LexiconEmd::new(["moross", "lumsa"]);
+        let clf = accept_all(7);
+        let stream = sents(&[
+            &["Moross", "Lumsa", "quarantined"],
+            &["cases", "at", "Moross", "Lumsa", "rise"],
+            &["Moross", "Lumsa", "closed"],
+        ]);
+        emd_obs::set_enabled(true);
+        let coverage = |oracle: bool| {
+            let mut g = Globalizer::new(&local, None, &clf, GlobalizerConfig::default());
+            let reg = emd_obs::Registry::new();
+            g.set_metrics(PipelineMetrics::from_registry(&reg));
+            let mut state = g.new_state();
+            g.process_batch(&mut state, &stream);
+            let out = if oracle {
+                g.finalize_full_rescan(&mut state)
+            } else {
+                g.finalize(&mut state)
+            };
+            assert_eq!(out.n_promoted, 1);
+            (out.n_rescanned, g.metrics().rescan_coverage.get())
+        };
+        assert_eq!(coverage(true), (6, 1.0));
+        let (_, incremental) = coverage(false);
+        assert!(incremental > 0.0 && incremental <= 1.0, "{incremental}");
     }
 
     #[test]

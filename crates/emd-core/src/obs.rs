@@ -1,18 +1,20 @@
 //! Pipeline observability: named metric handles for every Globalizer
 //! phase, plus the always-on per-run [`PhaseTimings`] breakdown.
 //!
-//! Two complementary mechanisms:
-//!
 //! * [`PipelineMetrics`] — handles into an [`emd_obs::Registry`]
 //!   (the process-wide [`emd_obs::global`] one by default). Counters,
 //!   gauges, and latency histograms across runs; gated on the global
 //!   enabled flag ([`emd_obs::set_enabled`]), so an uninstrumented binary
-//!   pays only a relaxed load + branch per phase.
+//!   pays only a relaxed load + branch per sample.
 //! * [`PhaseTimings`] — cumulative per-run wall-clock nanoseconds per
-//!   phase, accumulated unconditionally (one `Instant` read per phase
-//!   *call*, not per record) in the [`crate::GlobalizerState`] and copied
-//!   into [`crate::GlobalizerOutput::phase_timings`] at finalize. This is
-//!   what experiments persist to `results/` JSON.
+//!   phase, accumulated unconditionally in the [`crate::GlobalizerState`]
+//!   and copied into [`crate::GlobalizerOutput::phase_timings`] at
+//!   finalize. This is what experiments persist to `results/` JSON.
+//!
+//! Both are fed from the same measurements: each phase call reads one
+//! clock pair that lands in its `PhaseTimings` field, its histogram and
+//! its trace span, and each pipeline call adds its counts to the counters
+//! once, when it ends (see DESIGN.md, "One observation path").
 //!
 //! Metric names follow `emd_<area>_<metric>_<unit>` (see DESIGN.md
 //! § "Observability").
@@ -49,12 +51,6 @@ pub struct PhaseTimings {
 }
 
 impl PhaseTimings {
-    /// Total nanoseconds across the batch-time phases (finalize already
-    /// subsumes its sub-phases, so it is not added again).
-    pub fn batch_total_ns(&self) -> u64 {
-        self.local_infer_ns + self.ingest_ns + self.scan_ns + self.pool_ns + self.classify_ns
-    }
-
     /// `(phase name, cumulative ns)` pairs in pipeline order, for tables
     /// and JSON reports.
     pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
@@ -197,12 +193,6 @@ impl PipelineMetrics {
     }
 }
 
-impl Default for PipelineMetrics {
-    fn default() -> PipelineMetrics {
-        PipelineMetrics::global()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +268,6 @@ mod tests {
         assert_eq!(pairs.len(), 9);
         let sum: u64 = pairs.iter().map(|&(_, v)| v).sum();
         assert_eq!(sum, 45);
-        assert_eq!(t.batch_total_ns(), 15);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use emd_resilience::deadletter::{self, DeadLetterRecord};
 use emd_resilience::quarantine::{PipelinePhase, QuarantineEntry};
 use emd_resilience::{failpoint, isolate};
 use emd_text::token::{Sentence, SentenceId, Span};
-use emd_trace::{TraceEvent, TraceEventKind, TracePhase, TraceSink};
+use emd_trace::{TraceEvent, TraceEventKind, TracePhase};
 use std::path::PathBuf;
 
 /// Hard ceiling on `batch_retries`: a budget past this is a typo, not a
@@ -277,6 +277,18 @@ pub struct RunReport {
 /// Mutable bookkeeping threaded through one run's service loop.
 #[derive(Default)]
 struct ServiceCtx {
+    /// Whether tracing was on when the run started. Decides whether the
+    /// run drains the sink, rewinds it for retried attempts, and records
+    /// the committed seq in the state; emission itself is gated per event
+    /// by [`Globalizer::trace_event`].
+    tracing: bool,
+    /// Whether the run resumed from a checkpoint, which generation of the
+    /// ladder it restored, how many corrupt generations it walked past,
+    /// and the first one's reason.
+    resumed: bool,
+    generation: usize,
+    fallbacks: usize,
+    discard_reason: Option<String>,
     batches_retried: usize,
     batches_dead_lettered: usize,
     batches_deadline_exceeded: usize,
@@ -319,21 +331,13 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
     }
 
     /// Restore state from the configured checkpoint ladder, or start
-    /// fresh. Returns `(state, batches_already_completed, resumed,
-    /// generation restored from, discards)` — corrupt generations are
-    /// walked past with their reasons kept, and a fully corrupt ladder
+    /// fresh. Returns the state, the batches already completed, and the
+    /// run's bookkeeping with the restore recorded — corrupt generations
+    /// are walked past with their reasons kept, and a fully corrupt ladder
     /// falls back to a fresh start rather than trusting damaged state.
-    fn restore_or_fresh(
-        &self,
-    ) -> (
-        GlobalizerState,
-        usize,
-        bool,
-        usize,
-        Vec<checkpoint::GenerationDiscard>,
-    ) {
+    fn restore_or_fresh(&self) -> (GlobalizerState, usize, ServiceCtx) {
         let Some(path) = &self.config.checkpoint_path else {
-            return (self.globalizer.new_state(), 0, false, 0, Vec::new());
+            return (self.globalizer.new_state(), 0, ServiceCtx::default());
         };
         let m = self.globalizer.metrics();
         let keep = self.config.checkpoint_generations;
@@ -357,9 +361,22 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             }
         };
         m.checkpoint_fallbacks_total.add(discards.len() as u64);
+        let ctx = ServiceCtx {
+            fallbacks: discards.len(),
+            discard_reason: discards.first().map(|d| d.reason.clone()),
+            ..ServiceCtx::default()
+        };
         match restored {
-            Some((seq, state, generation)) => (state, seq as usize, true, generation, discards),
-            None => (self.globalizer.new_state(), 0, false, 0, discards),
+            Some((seq, state, generation)) => (
+                state,
+                seq as usize,
+                ServiceCtx {
+                    resumed: true,
+                    generation,
+                    ..ctx
+                },
+            ),
+            None => (self.globalizer.new_state(), 0, ctx),
         }
     }
 
@@ -398,21 +415,16 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         batch: &[Sentence],
         phase: PipelinePhase,
         reason: &str,
-        tracing: bool,
     ) {
         let m = self.globalizer.metrics();
         for s in batch.iter() {
             m.quarantined_total.inc();
-            let trace_event = if tracing {
-                self.globalizer.temit(TraceEvent {
-                    sid: Some((s.id.tweet_id, s.id.sent_id)),
-                    phase: Some(TracePhase::Supervisor),
-                    reason: Some(reason.to_string()),
-                    ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
-                })
-            } else {
-                None
-            };
+            let trace_event = self.globalizer.trace_event(|| TraceEvent {
+                sid: Some((s.id.tweet_id, s.id.sent_id)),
+                phase: Some(TracePhase::Supervisor),
+                reason: Some(reason.to_string()),
+                ..TraceEvent::of(TraceEventKind::SentenceQuarantined)
+            });
             state.quarantined.push(QuarantineEntry {
                 sid: s.id,
                 phase,
@@ -431,11 +443,10 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         state: &mut GlobalizerState,
         batch: &[Sentence],
         batch_index: usize,
-        sink: &TraceSink,
-        tracing: bool,
         ctx: &mut ServiceCtx,
     ) {
         let m = self.globalizer.metrics();
+        let sink = self.globalizer.trace();
         // Everything the sink accumulates during an attempt belongs to
         // that attempt; a failed attempt's events are discarded and their
         // sequence numbers re-issued, so the committed trace is identical
@@ -451,7 +462,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
                 // the first — nothing is buffered past seq0 yet) and a
                 // clone of the pre-batch state, so a batch-level panic
                 // discards the partial work entirely.
-                if tracing {
+                if ctx.tracing {
                     let _ = sink.drain();
                     sink.set_next_seq(seq0);
                 }
@@ -485,15 +496,9 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         );
         ctx.batches_retried += granted;
         match r.result {
-            Ok(next) => {
-                *state = next;
-                if tracing {
-                    ctx.trace_events.extend(sink.drain());
-                    state.trace_seq = sink.next_seq();
-                }
-            }
+            Ok(next) => *state = next,
             Err(last_err) => {
-                if tracing {
+                if ctx.tracing {
                     let _ = sink.drain();
                     sink.set_next_seq(seq0);
                 }
@@ -510,13 +515,24 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
                 } else {
                     last_err
                 };
-                self.quarantine_batch(state, batch, PipelinePhase::Supervisor, &reason, tracing);
+                self.quarantine_batch(state, batch, PipelinePhase::Supervisor, &reason);
                 self.dead_letter_persist(ctx, batch_index as u64, &reason, batch);
-                if tracing {
-                    ctx.trace_events.extend(sink.drain());
-                    state.trace_seq = sink.next_seq();
-                }
             }
+        }
+        self.flush_trace(ctx, Some(state));
+    }
+
+    /// In a traced run, move the sink's buffered events into the report
+    /// and, given the state, record the sink's next seq there as the
+    /// committed high-water mark.
+    fn flush_trace(&self, ctx: &mut ServiceCtx, state: Option<&mut GlobalizerState>) {
+        if !ctx.tracing {
+            return;
+        }
+        let sink = self.globalizer.trace();
+        ctx.trace_events.extend(sink.drain());
+        if let Some(state) = state {
+            state.trace_seq = sink.next_seq();
         }
     }
 
@@ -527,8 +543,6 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         state: &mut GlobalizerState,
         serviced: usize,
         is_last: bool,
-        sink: &TraceSink,
-        tracing: bool,
         ctx: &mut ServiceCtx,
     ) {
         let Some(path) = &self.config.checkpoint_path else {
@@ -545,13 +559,11 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         let dropped = state.compact();
         if dropped > 0 {
             m.compactions_total.inc();
-            if tracing {
-                self.globalizer.temit(TraceEvent {
-                    count: Some(dropped as u64),
-                    phase: Some(TracePhase::Supervisor),
-                    ..TraceEvent::of(TraceEventKind::StateCompacted)
-                });
-            }
+            self.globalizer.trace_event(|| TraceEvent {
+                count: Some(dropped as u64),
+                phase: Some(TracePhase::Supervisor),
+                ..TraceEvent::of(TraceEventKind::StateCompacted)
+            });
         }
         let keep = self.config.checkpoint_generations;
         let saved = {
@@ -565,15 +577,13 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         match saved {
             Ok(()) => {
                 ctx.checkpoints_written += 1;
-                if tracing {
-                    self.globalizer.temit(TraceEvent {
-                        batch: Some(state.batch_seq),
-                        count: Some(serviced as u64),
-                        phase: Some(TracePhase::Supervisor),
-                        ..TraceEvent::of(TraceEventKind::CheckpointSaved)
-                    });
-                    ctx.trace_events.extend(sink.drain());
-                }
+                self.globalizer.trace_event(|| TraceEvent {
+                    batch: Some(state.batch_seq),
+                    count: Some(serviced as u64),
+                    phase: Some(TracePhase::Supervisor),
+                    ..TraceEvent::of(TraceEventKind::CheckpointSaved)
+                });
+                self.flush_trace(ctx, None);
             }
             Err(_) => ctx.checkpoint_write_failures += 1,
         }
@@ -581,61 +591,46 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
 
     /// Shared prologue of [`run`](StreamSupervisor::run) and
     /// [`run_queued`](StreamSupervisor::run_queued): restore, resume the
-    /// trace numbering, emit restore/fallback events.
-    #[allow(clippy::type_complexity)]
-    fn begin(
-        &self,
-        ctx: &mut ServiceCtx,
-        sink: &TraceSink,
-        tracing: bool,
-    ) -> (GlobalizerState, usize, bool, usize, usize, Option<String>) {
-        let (mut state, completed, resumed, generation, discards) = self.restore_or_fresh();
-        let discard_reason = discards.first().map(|d| d.reason.clone());
-        if tracing && resumed {
+    /// trace numbering, emit restore/fallback events. Returns the state,
+    /// the batches already completed, and the run's bookkeeping.
+    fn begin(&self) -> (GlobalizerState, usize, ServiceCtx) {
+        let (mut state, completed, mut ctx) = self.restore_or_fresh();
+        ctx.tracing = emd_trace::enabled();
+        if ctx.tracing && ctx.resumed {
             // Continue the interrupted run's numbering: the checkpoint
             // carries the sequence high-water mark of its last committed
             // batch, so replayed-suffix events slot in right after the
             // events the interrupted run had already flushed.
-            sink.set_next_seq(state.trace_seq);
-            self.globalizer.temit(TraceEvent {
+            self.globalizer.trace().set_next_seq(state.trace_seq);
+            self.globalizer.trace_event(|| TraceEvent {
                 count: Some(completed as u64),
                 phase: Some(TracePhase::Supervisor),
                 ..TraceEvent::of(TraceEventKind::CheckpointRestored)
             });
-            if generation > 0 {
-                self.globalizer.temit(TraceEvent {
-                    count: Some(generation as u64),
-                    reason: discard_reason.clone(),
+            if ctx.generation > 0 {
+                self.globalizer.trace_event(|| TraceEvent {
+                    count: Some(ctx.generation as u64),
+                    reason: ctx.discard_reason.clone(),
                     phase: Some(TracePhase::Supervisor),
                     ..TraceEvent::of(TraceEventKind::CheckpointFallback)
                 });
             }
-            ctx.trace_events.extend(sink.drain());
-            state.trace_seq = sink.next_seq();
+            self.flush_trace(&mut ctx, Some(&mut state));
         }
-        (
-            state,
-            completed,
-            resumed,
-            generation,
-            discards.len(),
-            discard_reason,
-        )
+        (state, completed, ctx)
     }
 
-    /// Assemble the report from the finished state and bookkeeping.
-    #[allow(clippy::too_many_arguments)]
-    fn report(
+    /// Shared epilogue: finalize the stream, flush the closing pass's
+    /// trace events, and assemble the report.
+    fn finish(
         &self,
-        output: GlobalizerOutput,
+        mut state: GlobalizerState,
         batches_total: usize,
         start: usize,
-        resumed: bool,
-        generation: usize,
-        fallbacks: usize,
-        discard_reason: Option<String>,
-        ctx: ServiceCtx,
+        mut ctx: ServiceCtx,
     ) -> RunReport {
+        let output = self.globalizer.finalize(&mut state);
+        self.flush_trace(&mut ctx, None);
         RunReport {
             output,
             batches_total,
@@ -648,11 +643,11 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
             dead_letter_records: ctx.dead_letter_records,
             checkpoints_written: ctx.checkpoints_written,
             checkpoint_write_failures: ctx.checkpoint_write_failures,
-            resumed_from_checkpoint: resumed,
-            checkpoint_generation: generation,
-            checkpoint_fallbacks: fallbacks,
-            discarded_corrupt_checkpoint: discard_reason.is_some(),
-            checkpoint_discard_reason: discard_reason,
+            resumed_from_checkpoint: ctx.resumed,
+            checkpoint_generation: ctx.generation,
+            checkpoint_fallbacks: ctx.fallbacks,
+            discarded_corrupt_checkpoint: ctx.discard_reason.is_some(),
+            checkpoint_discard_reason: ctx.discard_reason,
             local_only_output: ctx.local_only_output,
             breaker_transitions: self.globalizer.guard_transitions(),
             trace_events: ctx.trace_events,
@@ -664,44 +659,19 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
     /// remaining batches with transactional backoff-and-deadline retry
     /// and periodic checkpoints, finalize, and report.
     pub fn run(&self, stream: &[Sentence]) -> RunReport {
-        let tracing = emd_trace::enabled();
-        let sink = self.globalizer.trace().clone();
-        let mut ctx = ServiceCtx::default();
-        let (mut state, completed, resumed, generation, fallbacks, discard_reason) =
-            self.begin(&mut ctx, &sink, tracing);
+        let (mut state, completed, mut ctx) = self.begin();
         let batches: Vec<&[Sentence]> = stream.chunks(self.config.batch_size).collect();
         let start = completed.min(batches.len());
         for (i, batch) in batches.iter().enumerate().skip(start) {
-            self.service_batch(&mut state, batch, i, &sink, tracing, &mut ctx);
-            self.maybe_checkpoint(
-                &mut state,
-                i + 1,
-                i + 1 == batches.len(),
-                &sink,
-                tracing,
-                &mut ctx,
-            );
+            self.service_batch(&mut state, batch, i, &mut ctx);
+            self.maybe_checkpoint(&mut state, i + 1, i + 1 == batches.len(), &mut ctx);
         }
-        let output = self.globalizer.finalize(&mut state);
-        if tracing {
-            ctx.trace_events.extend(sink.drain());
-        }
-        self.report(
-            output,
-            batches.len(),
-            start,
-            resumed,
-            generation,
-            fallbacks,
-            discard_reason,
-            ctx,
-        )
+        self.finish(state, batches.len(), start, ctx)
     }
 
     /// Record one shed batch: accounting, quarantine, trace, sentinel
     /// feed, dead-letter record, and — for `ShedToLocalOnly` — the cheap
     /// local-only answer.
-    #[allow(clippy::too_many_arguments)]
     fn record_shed(
         &self,
         state: &mut GlobalizerState,
@@ -709,7 +679,6 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         batch: &[Sentence],
         policy: OverloadPolicy,
         serviced: usize,
-        tracing: bool,
         ctx: &mut ServiceCtx,
     ) {
         let m = self.globalizer.metrics();
@@ -717,16 +686,14 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         m.guard_shed_total.inc();
         self.globalizer.note_shed(batch.len() as u64);
         let reason = policy.name();
-        if tracing {
-            self.globalizer.temit(TraceEvent {
-                batch: Some(serviced as u64),
-                count: Some(batch.len() as u64),
-                reason: Some(reason.to_string()),
-                phase: Some(TracePhase::Supervisor),
-                ..TraceEvent::of(TraceEventKind::BatchShed)
-            });
-        }
-        self.quarantine_batch(state, batch, PipelinePhase::Admission, reason, tracing);
+        self.globalizer.trace_event(|| TraceEvent {
+            batch: Some(serviced as u64),
+            count: Some(batch.len() as u64),
+            reason: Some(reason.to_string()),
+            phase: Some(TracePhase::Supervisor),
+            ..TraceEvent::of(TraceEventKind::BatchShed)
+        });
+        self.quarantine_batch(state, batch, PipelinePhase::Admission, reason);
         self.dead_letter_persist(ctx, batch_index as u64, reason, batch);
         if policy == OverloadPolicy::ShedToLocalOnly {
             ctx.local_only_output
@@ -734,9 +701,7 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
         }
         // Flush the shed events now: the next serviced batch resets the
         // sink to its own frame start, which would discard them.
-        if tracing {
-            ctx.trace_events.extend(self.globalizer.trace().drain());
-        }
+        self.flush_trace(ctx, None);
     }
 
     /// Drive the stream through the admission gate: `arrivals_per_tick`
@@ -754,12 +719,8 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
     /// prefix — a recovered queued run is bit-identical to an
     /// uninterrupted one.
     pub fn run_queued(&self, stream: &[Sentence], arrivals_per_tick: usize) -> RunReport {
-        let tracing = emd_trace::enabled();
-        let sink = self.globalizer.trace().clone();
         let m = self.globalizer.metrics();
-        let mut ctx = ServiceCtx::default();
-        let (mut state, completed, resumed, generation, fallbacks, discard_reason) =
-            self.begin(&mut ctx, &sink, tracing);
+        let (mut state, completed, mut ctx) = self.begin();
         let batches: Vec<&[Sentence]> = stream.chunks(self.config.batch_size).collect();
         let start = completed.min(batches.len());
         let arrivals = arrivals_per_tick.max(1);
@@ -786,7 +747,6 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
                             batches[shed.item],
                             shed.policy,
                             serviced,
-                            tracing,
                             &mut ctx,
                         );
                     }
@@ -803,25 +763,12 @@ impl<'g, 'a> StreamSupervisor<'g, 'a> {
                 continue; // the restored checkpoint already covers it
             }
             m.guard_admitted_total.inc();
-            self.service_batch(&mut state, batches[idx], idx, &sink, tracing, &mut ctx);
+            self.service_batch(&mut state, batches[idx], idx, &mut ctx);
             let is_last = next_arrival >= batches.len() && queue.is_empty();
-            self.maybe_checkpoint(&mut state, serviced, is_last, &sink, tracing, &mut ctx);
+            self.maybe_checkpoint(&mut state, serviced, is_last, &mut ctx);
         }
         m.guard_queue_depth.set(0.0);
-        let output = self.globalizer.finalize(&mut state);
-        if tracing {
-            ctx.trace_events.extend(sink.drain());
-        }
-        self.report(
-            output,
-            batches.len(),
-            start.min(serviced),
-            resumed,
-            generation,
-            fallbacks,
-            discard_reason,
-            ctx,
-        )
+        self.finish(state, batches.len(), start.min(serviced), ctx)
     }
 }
 

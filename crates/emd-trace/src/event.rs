@@ -70,7 +70,8 @@ pub enum TraceEventKind {
     EmitStart,
     /// A phase completed; `dur_ns` is its wall-clock (reusing the
     /// already-measured `PhaseTimings` value — no extra clock read).
-    /// `parent` nests finalize-time sub-phases for the flame view.
+    /// `parent` is the phase open around it (finalize for its rescans,
+    /// promotion, classification and emit; evict for settle rescans).
     /// Fields: `phase`, `parent`, `dur_ns`, `system` (local phase only).
     PhaseSpan,
     /// Supervisor checkpoint written. Fields: `batch`, `count` (batches
@@ -258,7 +259,7 @@ pub struct TraceEvent {
     pub local_hit: Option<bool>,
     /// Phase the event is attributed to.
     pub phase: Option<TracePhase>,
-    /// Enclosing phase (nests finalize-time sub-phases).
+    /// Enclosing phase (nests finalize and evict sub-phases).
     pub parent: Option<TracePhase>,
     /// Wall-clock nanoseconds (on [`TraceEventKind::PhaseSpan`]).
     pub dur_ns: Option<u64>,
