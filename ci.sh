@@ -27,19 +27,23 @@ if [ "$lock_after" != "$lock_before" ]; then
     exit 1
 fi
 
-echo "== rescan output digest guard =="
-# One untimed churn-window run (about 12 s) must reproduce the committed
-# per-stream output digests. Which records get rescanned, and what a
-# rescan finds, both show up in them, so this catches output drift in the
-# rescan path. Reads perfbench's committed results and writes nothing
-# there beyond its gitignored build and run directories.
-want=$(grep -o 'fnv1a64=[^ ]*' perfbench/results/churn-window-seed1-trace0.out)
-got=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload churn-window --seed 1 --seconds 0 --trace 0 | grep -o 'fnv1a64=[^ ]*')
-if [ "$got" != "$want" ]; then
-    echo "churn-window seed 1 digest drift: got $got, want $want" >&2
-    exit 1
-fi
+echo "== output digest guard =="
+# Untimed seed-1 runs (about 12 s each) must reproduce the committed
+# per-stream output digests. churn-window covers the rescan path: which
+# records get rescanned, and what a rescan finds, both show up in the
+# digests. operated-burst covers the supervised path, with compaction and
+# a checkpoint written every 8 batches. Reads perfbench's committed
+# results and writes nothing there beyond its gitignored build and run
+# directories.
+for workload in churn-window operated-burst; do
+    want=$(grep -o 'fnv1a64=[^ ]*' "perfbench/results/$workload-seed1-trace0.out")
+    got=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 --trace 0 | grep -o 'fnv1a64=[^ ]*')
+    if [ "$got" != "$want" ]; then
+        echo "$workload seed 1 digest drift: got $got, want $want" >&2
+        exit 1
+    fi
+done
 
 echo "== instrumented smoke pipeline =="
 # The quickstart runs the full pipeline with metric recording on and

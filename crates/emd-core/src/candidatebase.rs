@@ -11,7 +11,8 @@
 
 use crate::classifier::CandidateLabel;
 use emd_text::token::{SentenceId, Span};
-use serde::{Deserialize, Serialize};
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A single located mention of a candidate.
@@ -31,12 +32,16 @@ pub struct MentionRef {
 pub struct CandidateRecord {
     /// Lower-cased space-joined key.
     pub key: String,
-    /// Lower-cased tokens of the candidate.
+    /// Lower-cased tokens of the candidate (the key split on spaces; not
+    /// serialized, rebuilt on load).
+    #[serde(skip)]
     pub tokens: Vec<String>,
     /// All located mentions, in discovery order.
     pub mentions: Vec<MentionRef>,
     /// `(sentence, span)` pairs already in `mentions`, for O(1) dedup when
-    /// overlapping rescans revisit a sentence.
+    /// overlapping rescans revisit a sentence. Not serialized: rebuilt
+    /// from `mentions` on load.
+    #[serde(skip)]
     seen: HashSet<(SentenceId, Span)>,
     /// Mentions whose sentences left the sliding window: the refs are
     /// released but the count is folded into [`CandidateRecord::frequency`]
@@ -73,10 +78,9 @@ pub struct CandidateRecord {
 
 impl CandidateRecord {
     fn new(key: String, dim: usize, store_local: bool) -> CandidateRecord {
-        let tokens = key.split(' ').map(|s| s.to_string()).collect();
-        CandidateRecord {
+        let mut r = CandidateRecord {
             key,
-            tokens,
+            tokens: Vec::new(),
             mentions: Vec::new(),
             seen: HashSet::new(),
             evicted_mentions: 0,
@@ -88,7 +92,17 @@ impl CandidateRecord {
             label: CandidateLabel::Pending,
             score: None,
             degraded: false,
-        }
+        };
+        r.reindex();
+        r
+    }
+
+    /// Rebuild the record's indexes from its contents: `tokens` from
+    /// `key`, `seen` from `mentions`. Construction and checkpoint load
+    /// both run it.
+    fn reindex(&mut self) {
+        self.tokens = self.key.split(' ').map(str::to_string).collect();
+        self.seen = self.mentions.iter().map(|m| (m.sid, m.span)).collect();
     }
 
     /// Record a mention unless an identical `(sentence, span)` pair is
@@ -229,12 +243,17 @@ impl CandidateRecord {
 }
 
 /// The stream-wide candidate store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A checkpoint carries the records (without their `seen` and `tokens`),
+/// the dimension and the store-local flag; load rebuilds the rest.
+#[derive(Debug, Clone, Serialize)]
 pub struct CandidateBase {
     records: Vec<CandidateRecord>,
-    index: HashMap<String, usize>,
     dim: usize,
     store_local: bool,
+    /// Key → position in `records`, rebuilt by [`CandidateBase::reindex`].
+    #[serde(skip)]
+    index: HashMap<String, usize>,
 }
 
 impl CandidateBase {
@@ -351,11 +370,24 @@ impl CandidateBase {
                 pruned.push(r);
             }
         }
+        self.reindex()
+            .expect("surviving keys were unique before the prune");
+        pruned
+    }
+
+    /// Rebuild the key index from the records. Pruning and checkpoint
+    /// load both end here. Rejects a key held by two records.
+    fn reindex(&mut self) -> Result<(), DeError> {
         self.index.clear();
         for (i, r) in self.records.iter().enumerate() {
-            self.index.insert(r.key.clone(), i);
+            if self.index.insert(r.key.clone(), i).is_some() {
+                return Err(DeError::msg(format!(
+                    "two candidates share key {:?}",
+                    r.key
+                )));
+            }
         }
-        pruned
+        Ok(())
     }
 
     /// Estimated resident heap bytes: keys, mention lists, dedup sets, and
@@ -380,6 +412,33 @@ impl CandidateBase {
             total += key.len() + size_of::<usize>();
         }
         total
+    }
+}
+
+// Load decodes the records, rebuilds each record's indexes and the key
+// index, and rejects embedding buffers that do not fit `dim` (the pooling
+// kernels would panic on them later).
+impl Deserialize for CandidateBase {
+    fn from_value(v: &Value) -> Result<CandidateBase, DeError> {
+        let mut cb = CandidateBase {
+            records: v.field("records")?,
+            dim: v.field("dim")?,
+            store_local: v.field("store_local")?,
+            index: HashMap::new(),
+        };
+        for r in &mut cb.records {
+            let (sum, flat) = (r.emb_sum.len(), r.local_flat.len());
+            if sum != cb.dim || flat % cb.dim.max(1) != 0 {
+                let dim = cb.dim;
+                return Err(DeError::msg(format!(
+                    "candidate {:?}: embedding lengths {sum} and {flat} do not fit dim {dim}",
+                    r.key
+                )));
+            }
+            r.reindex();
+        }
+        cb.reindex()?;
+        Ok(cb)
     }
 }
 
@@ -574,6 +633,26 @@ mod tests {
         assert_eq!(r.global_embedding(), vec![0.5, 0.5]);
         assert_eq!(r.n_pooled(), 2);
         assert_eq!(r.local_rows().len(), 0);
+    }
+
+    #[test]
+    fn round_trip_rebuilds_keys_tokens_and_dedup() {
+        let mut cb = CandidateBase::new(2);
+        cb.entry("italy").add_embedding(&[1.0, 2.0]);
+        let m = MentionRef {
+            sid: SentenceId::new(1, 0),
+            span: Span::new(0, 2),
+            locally_detected: true,
+        };
+        assert!(cb.entry("andy beshear").try_add_mention(m));
+        let mut back = CandidateBase::from_value(&cb.to_value()).unwrap();
+        let r = back.get_mut("andy beshear").unwrap();
+        assert_eq!(r.tokens, ["andy", "beshear"]);
+        assert!(!r.try_add_mention(m), "dedup set rebuilt from mentions");
+        assert_eq!(back.get("italy").unwrap().global_embedding(), [1.0, 2.0]);
+        let mut bad = cb.clone();
+        bad.dim = 3;
+        assert!(CandidateBase::from_value(&bad.to_value()).is_err());
     }
 
     #[test]

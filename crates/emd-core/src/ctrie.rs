@@ -16,13 +16,14 @@
 //! exactly as before.
 
 use emd_text::intern::{Interner, Sym};
-use serde::{Deserialize, Serialize};
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Node id inside the trie arena. The root is [`CTrie::ROOT`].
 pub type NodeId = u32;
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Node {
     children: HashMap<Sym, NodeId>,
     /// True when the path from the root to this node spells a registered
@@ -36,7 +37,10 @@ struct Node {
 /// terminal and frees any now-childless path nodes onto a free-list that
 /// later insertions reuse, so a long-running stream's trie arena tracks the
 /// *live* candidate set instead of growing monotonically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A checkpoint carries the registered phrases only, as symbol lists in
+/// sorted order; load rebuilds the arena by inserting them.
+#[derive(Debug, Clone)]
 pub struct CTrie {
     nodes: Vec<Node>,
     n_candidates: usize,
@@ -66,42 +70,29 @@ impl CTrie {
     /// Insert a candidate given its tokens (any casing), interning each
     /// folded token. Returns `true` if the candidate was new.
     pub fn insert<S: AsRef<str>>(&mut self, interner: &mut Interner, tokens: &[S]) -> bool {
-        if tokens.is_empty() {
-            return false;
-        }
-        let mut node = Self::ROOT;
-        for t in tokens {
-            let key = interner.intern_folded(t.as_ref());
-            node = self.child_or_insert(node, key);
-        }
-        let node = &mut self.nodes[node as usize];
-        if node.terminal {
-            false
-        } else {
-            node.terminal = true;
-            self.n_candidates += 1;
-            true
-        }
+        self.insert_path(tokens.iter().map(|t| interner.intern_folded(t.as_ref())))
     }
 
     /// Insert a candidate given its already-folded symbols. Returns `true`
     /// if the candidate was new.
     pub fn insert_syms(&mut self, syms: &[Sym]) -> bool {
-        if syms.is_empty() {
-            return false;
-        }
+        self.insert_path(syms.iter().copied())
+    }
+
+    /// Walk (creating) the path of `syms` and mark its end terminal. An
+    /// empty path ends at the root, which is never a candidate.
+    fn insert_path(&mut self, syms: impl Iterator<Item = Sym>) -> bool {
         let mut node = Self::ROOT;
-        for &key in syms {
+        for key in syms {
             node = self.child_or_insert(node, key);
         }
-        let node = &mut self.nodes[node as usize];
-        if node.terminal {
-            false
-        } else {
-            node.terminal = true;
-            self.n_candidates += 1;
-            true
+        let n = &mut self.nodes[node as usize];
+        if node == Self::ROOT || n.terminal {
+            return false;
         }
+        n.terminal = true;
+        self.n_candidates += 1;
+        true
     }
 
     /// Follow the edge `key` from `node`, creating it (reusing a freed
@@ -234,23 +225,58 @@ impl CTrie {
         self.nodes.len() - self.free.len()
     }
 
-    /// Enumerate all candidates as lower-cased token vectors (test &
-    /// diagnostics helper; not on the hot path).
+    /// Enumerate all candidates as lower-cased token vectors, in
+    /// ascending symbol order (test & diagnostics helper; not on the hot
+    /// path).
     pub fn candidates(&self, interner: &Interner) -> Vec<Vec<String>> {
+        self.phrases()
+            .iter()
+            .map(|p| p.iter().map(|&s| interner.resolve(s).to_string()).collect())
+            .collect()
+    }
+
+    /// Every registered phrase as its symbol list, in ascending
+    /// lexicographic symbol order — the trie's contents, independent of
+    /// arena layout and hash order.
+    fn phrases(&self) -> Vec<Vec<Sym>> {
         let mut out = Vec::with_capacity(self.n_candidates);
-        let mut stack: Vec<(NodeId, Vec<String>)> = vec![(Self::ROOT, Vec::new())];
-        while let Some((node, path)) = stack.pop() {
-            let n = &self.nodes[node as usize];
-            if n.terminal {
-                out.push(path.clone());
-            }
-            for (&tok, &child) in &n.children {
-                let mut p = path.clone();
-                p.push(interner.resolve(tok).to_string());
-                stack.push((child, p));
+        let mut path = Vec::new();
+        self.collect_phrases(Self::ROOT, &mut path, &mut out);
+        out
+    }
+
+    fn collect_phrases(&self, node: NodeId, path: &mut Vec<Sym>, out: &mut Vec<Vec<Sym>>) {
+        let n = &self.nodes[node as usize];
+        if n.terminal {
+            out.push(path.clone());
+        }
+        let mut children: Vec<(Sym, NodeId)> = n.children.iter().map(|(&s, &c)| (s, c)).collect();
+        children.sort_unstable();
+        for (sym, child) in children {
+            path.push(sym);
+            self.collect_phrases(child, path, out);
+            path.pop();
+        }
+    }
+}
+
+impl Serialize for CTrie {
+    fn to_value(&self) -> Value {
+        self.phrases().to_value()
+    }
+}
+
+impl Deserialize for CTrie {
+    fn from_value(v: &Value) -> Result<CTrie, DeError> {
+        let mut trie = CTrie::new();
+        for phrase in Vec::<Vec<Sym>>::from_value(v)? {
+            if !trie.insert_syms(&phrase) {
+                return Err(DeError::msg(format!(
+                    "empty or repeated trie phrase {phrase:?}"
+                )));
             }
         }
-        out
+        Ok(trie)
     }
 }
 
@@ -407,6 +433,33 @@ mod tests {
         assert!(!t.insert(&mut it, &["NEW", "YORK"]), "same candidate");
         assert!(t.remove_syms(&syms));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn serializes_sorted_phrases_and_rebuilds_the_arena() {
+        let mut it = Interner::new();
+        let mut a = CTrie::new();
+        for p in [
+            &["zeta"][..],
+            &["andy", "murray"],
+            &["andy"],
+            &["world", "cup"],
+        ] {
+            a.insert(&mut it, p);
+        }
+        a.remove(&it, &["world", "cup"]);
+        // Same phrases, other insertion order, no freed slots.
+        let mut b = CTrie::new();
+        for p in [&["andy"][..], &["zeta"], &["andy", "murray"]] {
+            b.insert(&mut it, p);
+        }
+        assert_eq!(a.to_value(), b.to_value(), "contents, not arena layout");
+        let back = CTrie::from_value(&a.to_value()).unwrap();
+        assert_eq!(back.candidates(&it), a.candidates(&it));
+        assert_eq!((back.len(), back.n_nodes()), (a.len(), a.n_nodes()));
+        assert!(back.contains(&it, &["andy", "murray"]));
+        let dup = serde::value::Value::Arr(vec![vec![0u32].to_value(), vec![0u32].to_value()]);
+        assert!(CTrie::from_value(&dup).is_err(), "a repeated phrase");
     }
 
     #[test]

@@ -210,12 +210,14 @@ pub struct GlobalizerState {
     /// bitset: insert, membership and ascending iteration are a word
     /// index and a mask, and it checkpoints to a sorted index list.
     dirty: DirtySet,
-    /// Cumulative per-phase wall-clock spent on this state, surfaced via
-    /// [`GlobalizerOutput::phase_timings`]. Inclusive: a phase's total
-    /// contains the phases it opens (finalize holds its rescans, settle
-    /// rescans sit inside evict). Each phase call reads one clock pair
-    /// ([`Globalizer::open`]), which also feeds the phase's histogram and
-    /// trace span.
+    /// Cumulative per-phase wall-clock spent on this state by this
+    /// process only, surfaced via [`GlobalizerOutput::phase_timings`].
+    /// Inclusive: a phase's total contains the phases it opens (finalize
+    /// holds its rescans, settle rescans sit inside evict). Each phase
+    /// call reads one clock pair ([`Globalizer::open`]), which also feeds
+    /// the phase's histogram and trace span. A measurement, not state:
+    /// not checkpointed, so a restored state starts from zero.
+    #[serde(skip)]
     timings: PhaseTimings,
     /// Dead-letter log: sentences the pipeline gave up on, in
     /// deterministic stream/discovery order.
@@ -228,8 +230,9 @@ pub struct GlobalizerState {
     /// Every sentence ID ever quarantined. Eviction frees a quarantined
     /// record's slot, but its ID stays here so a replayed copy of the
     /// sentence is never silently re-admitted — quarantine decisions are
-    /// permanent for the lifetime of the state.
-    quarantined_ids: HashSet<SentenceId>,
+    /// permanent for the lifetime of the state. Ordered, so checkpoints
+    /// write it in one order.
+    quarantined_ids: BTreeSet<SentenceId>,
     /// Promotion evidence frozen out of evicted records (empty while
     /// windowing is disabled).
     frozen_adjacency: Vec<FrozenAdjacency>,
@@ -971,7 +974,7 @@ impl<'a> Globalizer<'a> {
             timings: PhaseTimings::default(),
             quarantined: Vec::new(),
             quarantined_idx: BTreeSet::new(),
-            quarantined_ids: HashSet::new(),
+            quarantined_ids: BTreeSet::new(),
             frozen_adjacency: Vec::new(),
             frozen_index: HashMap::new(),
             evict_cursor: 0,

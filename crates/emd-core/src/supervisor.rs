@@ -34,7 +34,12 @@
 //!    newest-first ([`checkpoint::load_chain`]): corrupt generations are
 //!    discarded *with their reasons kept* and the newest intact one
 //!    restores (a `CheckpointFallback` trace event records the fall).
-//!    Only the stream suffix after the restored sequence number replays.
+//!    A checkpoint carries the stores' contents only; loading it rebuilds
+//!    every index through the stores' own rebuild routines, so a restored
+//!    state is complete and trusts no decoded index. Contents no store
+//!    can hold fail the load as `Corrupt` and the ladder falls back, as
+//!    for a bad checksum. Only the stream suffix after the restored
+//!    sequence number replays.
 //!    Because batch processing is deterministic, a recovered run's final
 //!    output is bit-identical to an uninterrupted one.
 
@@ -1206,7 +1211,14 @@ mod tests {
         let sup = StreamSupervisor::new(&g, cfg);
         let _ = sup.run(&s[..16]); // 4 batches; ladder = seq 4, 3, 2
                                    // Corrupt the newest generation (torn-write aftermath).
-        std::fs::write(&path, "EMDCKPT v3 seq=4 crc=0000000000000000\n{}\n").unwrap();
+        std::fs::write(
+            &path,
+            format!(
+                "EMDCKPT v{} seq=4 crc=0000000000000000\n{{}}\n",
+                checkpoint::FORMAT_VERSION
+            ),
+        )
+        .unwrap();
         let report = sup.run(&s);
         assert!(report.resumed_from_checkpoint, "generation 1 restores");
         assert_eq!(report.checkpoint_generation, 1);

@@ -39,7 +39,8 @@
 use emd_nn::matrix::Matrix;
 use emd_text::intern::{Interner, Sym};
 use emd_text::token::{Sentence, SentenceId, Span};
-use serde::{Deserialize, Serialize};
+use serde::value::Value;
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Where a record's token-embedding rows live inside the store's arena.
@@ -87,8 +88,10 @@ pub struct TweetRecord {
     /// All candidate mentions found by the global rescan (superset of the
     /// verified `local_spans`, aligned to CTrie candidates).
     pub global_mentions: Vec<Span>,
-    /// Case-folded interned symbol per token, filled at insert. The scan
-    /// walks these against the CTrie's symbol edges allocation-free.
+    /// Case-folded interned symbol per token, filled at insert (and by
+    /// [`TweetBase::reindex`]; not serialized). The scan walks these
+    /// against the CTrie's symbol edges allocation-free.
+    #[serde(skip)]
     pub tok_syms: Vec<Sym>,
     /// Arena placement of the token embeddings while stored.
     emb: Option<EmbSlot>,
@@ -129,27 +132,36 @@ impl TweetRecord {
 /// **live** records whose sentence contains the token. Replacement and
 /// eviction both maintain this by removing the outgoing record's postings;
 /// there are no stale or duplicated entries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// A checkpoint carries the store's contents only — the slots, the
+/// interner, the embedding arena and the eviction count. Everything else
+/// is an index over those and is rebuilt by [`TweetBase::reindex`], which
+/// compaction and checkpoint load both run.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TweetBase {
     /// Stream-ordered record slots; `None` marks an evicted record.
     slots: Vec<Option<TweetRecord>>,
-    /// Sentence id → slot index, live records only.
-    index: HashMap<SentenceId, usize>,
     /// The pipeline-wide token interner (symbols shared with the CTrie).
     interner: Interner,
-    /// Symbol → strictly ascending live slot indices. Indexed by `Sym`;
-    /// symbols never seen in a sentence simply have an empty list.
-    postings: Vec<PostingList>,
     /// Flat row-major token-embedding storage for all live records.
     emb_arena: Vec<f32>,
-    /// Arena floats belonging to evicted/replaced records (reclaimed by
-    /// [`TweetBase::compact`]).
-    emb_dead: usize,
-    /// Number of live (non-tombstone) slots.
-    live: usize,
     /// Cumulative count of evictions over the lifetime of the store
     /// (survives compaction; drives the evicted-records gauge).
     evicted_total: u64,
+    /// Sentence id → slot index, live records only.
+    #[serde(skip)]
+    index: HashMap<SentenceId, usize>,
+    /// Symbol → strictly ascending live slot indices. Indexed by `Sym`;
+    /// symbols never seen in a sentence simply have an empty list.
+    #[serde(skip)]
+    postings: Vec<PostingList>,
+    /// Arena floats belonging to evicted/replaced records (reclaimed by
+    /// [`TweetBase::compact`]).
+    #[serde(skip)]
+    emb_dead: usize,
+    /// Number of live (non-tombstone) slots.
+    #[serde(skip)]
+    live: usize,
     /// Reusable scratch for posting-list updates (sorted/deduped symbols
     /// of one sentence) — keeps add/remove allocation-free in steady
     /// state.
@@ -163,9 +175,7 @@ pub struct TweetBase {
 /// front of a plain `Vec` memmoves the whole tail, which at window
 /// scale was the dominant eviction cost. Here a front removal just
 /// advances `head` in O(1); the dead prefix is physically reclaimed
-/// once it outgrows the live part, keeping memory O(live). Serializes
-/// as the logical (head-trimmed) list, so the checkpoint schema is
-/// identical to the plain-`Vec` representation it replaced.
+/// once it outgrows the live part, keeping memory O(live).
 #[derive(Debug, Clone, Default)]
 struct PostingList {
     items: Vec<usize>,
@@ -223,23 +233,6 @@ impl PostingList {
     /// Physical capacity in entries, for memory accounting.
     fn capacity(&self) -> usize {
         self.items.capacity()
-    }
-}
-
-// Checkpoints carry the logical list only — byte-identical to the
-// plain-`Vec` schema; `head` is a transient layout detail.
-impl Serialize for PostingList {
-    fn to_value(&self) -> serde::value::Value {
-        self.as_slice().to_vec().to_value()
-    }
-}
-
-impl Deserialize for PostingList {
-    fn from_value(v: &serde::value::Value) -> Result<PostingList, serde::DeError> {
-        Ok(PostingList {
-            items: Vec::<usize>::from_value(v)?,
-            head: 0,
-        })
     }
 }
 
@@ -522,20 +515,55 @@ impl TweetBase {
             }
         }
         self.emb_arena = arena;
-        self.emb_dead = 0;
+        self.reindex()
+            .expect("a loaded or inserted store reindexes");
+        Some(remap)
+    }
+
+    /// Rebuild every index over the contents — the id index, the posting
+    /// lists, each record's `tok_syms`, `live` and `emb_dead` — from the
+    /// slots, the interner and the arena. Compaction and checkpoint load
+    /// both end here, so no index is ever decoded from bytes. Rejects
+    /// contents no store can hold: a token without an interned symbol, an
+    /// embedding slot outside the arena, two live slots with one sentence
+    /// id, or embedding slots claiming more floats than the arena has.
+    fn reindex(&mut self) -> Result<(), DeError> {
+        let bad = |m: String| Err(DeError::msg(m));
         self.index.clear();
         for p in &mut self.postings {
             p.clear();
         }
+        self.live = 0;
+        let mut live_floats = 0usize;
         for i in 0..self.slots.len() {
-            let id = self.slots[i]
-                .as_ref()
-                .map(|r| r.sentence.id)
-                .expect("compacted slots are live");
-            self.index.insert(id, i);
+            let Some(r) = self.slots[i].as_mut() else {
+                continue;
+            };
+            r.tok_syms.clear();
+            for t in &r.sentence.tokens {
+                match self.interner.lookup_folded(&t.text) {
+                    Some(sym) => r.tok_syms.push(sym),
+                    None => return bad(format!("token {:?} has no interned symbol", t.text)),
+                }
+            }
+            if let Some(e) = r.emb {
+                let floats = e.rows.saturating_mul(e.cols);
+                if e.off.saturating_add(floats) > self.emb_arena.len() {
+                    return bad(format!("embedding slot {e:?} lies outside the arena"));
+                }
+                live_floats += floats;
+            }
+            if self.index.insert(r.sentence.id, i).is_some() {
+                return bad(format!("two live slots hold sentence {:?}", r.sentence.id));
+            }
+            self.live += 1;
             self.add_postings(i);
         }
-        Some(remap)
+        match self.emb_arena.len().checked_sub(live_floats) {
+            Some(dead) => self.emb_dead = dead,
+            None => return bad("embedding slots claim more floats than the arena".into()),
+        }
+        Ok(())
     }
 
     /// Estimated resident heap bytes of the store: sentences, the
@@ -561,6 +589,21 @@ impl TweetBase {
         total += self.interner.resident_bytes();
         total += self.index.len() * (size_of::<SentenceId>() + size_of::<usize>());
         total
+    }
+}
+
+// Load decodes the contents and rebuilds the indexes from them.
+impl Deserialize for TweetBase {
+    fn from_value(v: &Value) -> Result<TweetBase, DeError> {
+        let mut tb = TweetBase {
+            slots: v.field("slots")?,
+            interner: v.field("interner")?,
+            emb_arena: v.field("emb_arena")?,
+            evicted_total: v.field("evicted_total")?,
+            ..TweetBase::default()
+        };
+        tb.reindex()?;
+        Ok(tb)
     }
 }
 
@@ -858,6 +901,33 @@ mod tests {
         assert_postings_consistent(&tb);
         // Dense store: nothing to compact.
         assert!(tb.compact().is_none());
+    }
+
+    /// Load rebuilds what the checkpoint leaves out — id index, posting
+    /// lists, token symbols, live and dead counts — equal to the live
+    /// store's, tombstones and dead arena rows included.
+    #[test]
+    fn round_trip_rebuilds_every_index() {
+        let mut tb = TweetBase::new();
+        tb.insert(rec_with_emb(1, &["Italy", "cases"], 2));
+        tb.insert(rec_with(2, &["italy", "news"]));
+        tb.insert(rec_with_emb(3, &["more", "cases"], 2));
+        tb.insert(rec_with(2, &["news", "again"]));
+        tb.evict(0);
+        let back = TweetBase::from_value(&tb.to_value()).unwrap();
+        assert_eq!((back.len(), back.n_slots()), (tb.len(), tb.n_slots()));
+        assert_eq!((back.live, back.emb_dead), (tb.live, tb.emb_dead));
+        assert!(back.emb_dead > 0, "the evicted record's rows are dead");
+        for sym in 0..tb.interner().len() as Sym {
+            assert_eq!(back.indices_with_sym(sym), tb.indices_with_sym(sym));
+        }
+        for (i, r) in tb.iter_indexed() {
+            assert_eq!(back.index_of(r.sentence.id), Some(i));
+            assert_eq!(back.get_by_index(i).tok_syms, r.tok_syms);
+            let view = |t: &TweetBase| t.embedding_view(i).map(|v| v.data.to_vec());
+            assert_eq!(view(&back), view(&tb));
+        }
+        assert_postings_consistent(&back);
     }
 
     #[test]

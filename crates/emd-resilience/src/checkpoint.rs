@@ -3,18 +3,26 @@
 //! Format (one header line, then the payload):
 //!
 //! ```text
-//! EMDCKPT v3 seq=<n> crc=<16 hex digits>\n
+//! EMDCKPT v4 seq=<n> crc=<16 hex digits>\n
 //! <payload JSON>\n
 //! ```
 //!
-//! * `v3` — the [`FORMAT_VERSION`]; readers reject other versions rather
-//!   than guessing at field layouts. v3 is the SoA-arena state schema:
-//!   records carry interned token symbols and arena embedding slots, the
-//!   `TweetBase` serializes its token interner and flat embedding arena,
-//!   posting lists are keyed by symbol, and candidate per-mention
-//!   embeddings are one flattened row-major block. v2 (bounded-memory
-//!   schema with per-record embedding matrices) and v1 payloads are
-//!   rejected rather than misread.
+//! * `v4` — the [`FORMAT_VERSION`]; readers reject other versions rather
+//!   than guessing at field layouts. v4 payloads carry contents, not
+//!   indexes. The `TweetBase` writes its record slots (without the
+//!   per-record token symbols), its token interner, its flat embedding
+//!   arena and its eviction count. The `CandidateBase` writes its records
+//!   without their dedup sets and token lists. The `CTrie` writes its
+//!   registered phrases as sorted symbol lists. Per-process wall-clock
+//!   timings are not written. Each store's `Deserialize` rebuilds what
+//!   was left out — id index, posting lists, token symbols, live and dead
+//!   counts, key index, dedup sets, trie arena — through the same routine
+//!   its in-memory rebuild (compaction, pruning, insertion) runs, and
+//!   rejects contents no store can hold as [`CheckpointError::Corrupt`].
+//!   No hash-ordered collection reaches the payload, so one state always
+//!   writes the same bytes. v3 (which also wrote those indexes), v2
+//!   (bounded-memory schema with per-record embedding matrices) and v1
+//!   payloads are rejected rather than misread.
 //! * `seq` — an application-meaning-free sequence number; the
 //!   `StreamSupervisor` stores "batches completed" here so recovery knows
 //!   which suffix of the stream to replay.
@@ -49,7 +57,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &str = "EMDCKPT";
 
 /// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -322,10 +330,11 @@ mod tests {
 
     #[test]
     fn stale_older_version_checkpoints_rejected() {
-        // The v1 payload schema predates bounded-memory state, and v2
-        // predates the SoA-arena schema; reading either into a v3 build
-        // must fail loudly, not misinterpret fields.
-        for stale in [1u32, 2] {
+        // The v1 payload schema predates bounded-memory state, v2 predates
+        // the SoA-arena schema, and v3 carries derived indexes; reading
+        // any of them into a v4 build must fail loudly, not misinterpret
+        // fields.
+        for stale in [1u32, 2, 3] {
             let path = temp(&format!("stale{stale}"));
             std::fs::write(&path, format!("EMDCKPT v{stale} seq=0 crc=0\n{{}}\n")).unwrap();
             match load::<Payload>(&path) {
@@ -434,7 +443,11 @@ mod tests {
             save_generations(&path, seq, &p, 3).unwrap();
         }
         // Corrupt the two newest generations two different ways.
-        std::fs::write(&path, "EMDCKPT v3 seq=3 crc=0000000000000000\n{}\n").unwrap();
+        std::fs::write(
+            &path,
+            format!("EMDCKPT v{FORMAT_VERSION} seq=3 crc=0000000000000000\n{{}}\n"),
+        )
+        .unwrap();
         let g1 = generation_path(&path, 1);
         let content = std::fs::read_to_string(&g1).unwrap();
         std::fs::write(&g1, &content[..content.len() / 2]).unwrap();

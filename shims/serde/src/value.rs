@@ -86,6 +86,15 @@ impl Value {
         }
     }
 
+    /// Deserialize the object field `key` — what a derived `Deserialize`
+    /// does per field, for hand-written impls.
+    pub fn field<T: crate::Deserialize>(&self, key: &str) -> Result<T, crate::DeError> {
+        match self.get_field(key) {
+            Some(v) => T::from_value(v),
+            None => Err(crate::DeError::msg(format!("missing field `{key}`"))),
+        }
+    }
+
     /// The object's fields, if this is an object.
     pub fn as_obj(&self) -> Option<&[(String, Value)]> {
         match self {

@@ -273,12 +273,19 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 code point.
+                    // Consume the plain run up to the next `"` or `\` in one
+                    // validation. Both are ASCII, and an ASCII byte never
+                    // occurs inside a multi-byte UTF-8 sequence, so the run
+                    // ends on a code-point boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += len;
                 }
             }
         }
@@ -380,6 +387,30 @@ mod tests {
         // Escaped input forms parse too.
         assert_eq!(from_str::<String>("\"\\u00e9\"").unwrap(), "é");
         assert_eq!(from_str::<String>("\"\\ud83c\\udf89\"").unwrap(), "🎉");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // ~1 MB of mixed ASCII and multi-byte text with escapes sprinkled
+        // in: re-validating the rest of the document per character would
+        // take tens of seconds here.
+        let s = "plain ascii, straße 日本語 🎉 \"quoted\" back\\slash\n".repeat(20_000);
+        assert!(s.len() > 1_000_000);
+        let json = to_string(&s).unwrap();
+        let t0 = std::time::Instant::now();
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parsing took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_rejected() {
+        let bytes = b"\"ab\xffcd\"";
+        let err = Parser { bytes, pos: 0 }.parse_document().unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
     }
 
     #[test]
